@@ -204,8 +204,9 @@ inline EngineResult run_interp(const std::string& source,
 }
 
 inline EngineResult run_native(const std::shared_ptr<const Program>& prog,
-                               const Schedule& s, ReplicaConfig cfg = {}) {
+                               const Schedule& s) {
   EngineResult r;
+  ReplicaConfig cfg;
   cfg.switch_cfg.id = 1;  // mirror run_interp's single node
   Replica rep(prog, cfg);
   for (const auto& e : s.entries) {

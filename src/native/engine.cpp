@@ -54,8 +54,8 @@ void build_run_stats(const ir::ProgramIR& ir,
 // Program
 // ---------------------------------------------------------------------------
 
-double measure_raw_batch_pps(const ir::ProgramIR& ir, const Module& mod,
-                             double budget_s) {
+double measure_batch_pps(const ir::ProgramIR& ir, const Module& mod,
+                         const BatchCall& call, double budget_s) {
   std::vector<const ir::EventInfo*> handlers;
   for (const auto& ev : ir.events) {
     if (ev.has_handler) handlers.push_back(&ev);
@@ -89,13 +89,12 @@ double measure_raw_batch_pps(const ir::ProgramIR& ir, const Module& mod,
       static_cast<std::size_t>(std::max<std::int32_t>(mod.max_gens(), 1));
   std::vector<GenOut> out(static_cast<std::size_t>(kBatch) * stride);
   std::vector<std::int32_t> counts(static_cast<std::size_t>(kBatch));
-  const RunBatchFn fn = mod.raw_run_batch();
-  fn(ptrs.data(), in.data(), kBatch, out.data(), counts.data());  // warm
+  call(ptrs.data(), in.data(), kBatch, out.data(), counts.data());  // warm
   std::uint64_t packets = 0;
   const auto t0 = std::chrono::steady_clock::now();
   double elapsed = 0.0;
   do {
-    fn(ptrs.data(), in.data(), kBatch, out.data(), counts.data());
+    call(ptrs.data(), in.data(), kBatch, out.data(), counts.data());
     packets += static_cast<std::uint64_t>(kBatch);
     elapsed = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - t0)
@@ -104,9 +103,13 @@ double measure_raw_batch_pps(const ir::ProgramIR& ir, const Module& mod,
   return elapsed > 0.0 ? static_cast<double>(packets) / elapsed : 0.0;
 }
 
+double measure_raw_batch_pps(const ir::ProgramIR& ir, const Module& mod,
+                             double budget_s) {
+  return measure_batch_pps(ir, mod, mod.raw_run_batch(), budget_s);
+}
+
 std::shared_ptr<const Program> Program::build(ConstCompilationPtr comp,
-                                              std::string* error,
-                                              ProgramOptions opts) {
+                                              std::string* error) {
   auto fail = [&](const std::string& why) -> std::shared_ptr<const Program> {
     if (error != nullptr) *error = why;
     return nullptr;
@@ -127,40 +130,10 @@ std::shared_ptr<const Program> Program::build(ConstCompilationPtr comp,
 
   auto prog = std::make_shared<Program>();
   prog->comp_ = std::move(comp);
-  const std::string& name = prog->comp_->options().program_name;
-  if (!opts.measure_dispatch) {
-    prog->emitted_ = emit_source(*prog->comp_, name, {opts.dispatch});
-    prog->module_ = Module::load(prog->emitted_.text, error);
-    if (prog->module_ == nullptr) return nullptr;
-    return prog;
-  }
-  // Measured pick: build both dispatch variants and keep the faster one on
-  // a raw-batch micro-measurement. A variant that fails to load simply
-  // loses (the portable switch is the safety net).
-  EmittedModule em_switch = emit_source(*prog->comp_, name,
-                                        {Dispatch::kSwitch});
-  EmittedModule em_goto = emit_source(*prog->comp_, name,
-                                      {Dispatch::kThreadedGoto});
-  std::string err_switch;
-  std::string err_goto;
-  auto mod_switch = Module::load(em_switch.text, &err_switch);
-  auto mod_goto = Module::load(em_goto.text, &err_goto);
-  if (mod_switch == nullptr && mod_goto == nullptr) {
-    return fail("native module compile failed for both dispatch variants: " +
-                err_switch);
-  }
-  const double pps_switch =
-      mod_switch ? measure_raw_batch_pps(prog->comp_->ir(), *mod_switch)
-                 : 0.0;
-  const double pps_goto =
-      mod_goto ? measure_raw_batch_pps(prog->comp_->ir(), *mod_goto) : 0.0;
-  if (pps_goto > pps_switch) {
-    prog->emitted_ = std::move(em_goto);
-    prog->module_ = std::move(mod_goto);
-  } else {
-    prog->emitted_ = std::move(em_switch);
-    prog->module_ = std::move(mod_switch);
-  }
+  prog->emitted_ =
+      emit_source(*prog->comp_, prog->comp_->options().program_name);
+  prog->module_ = Module::load(prog->emitted_.text, error);
+  if (prog->module_ == nullptr) return nullptr;
   return prog;
 }
 
@@ -290,9 +263,6 @@ Replica::Replica(std::shared_ptr<const Program> prog, ReplicaConfig cfg)
   }
   array_ptrs_.reserve(cells_.size());
   for (auto& c : cells_) array_ptrs_.push_back(c.data());
-  gen_buf_.resize(
-      static_cast<std::size_t>(std::max<std::int32_t>(
-          prog_->module().max_gens(), 1)));
   has_handler_by_id_.assign(ir.events.size(), 0);
   exec_count_by_id_.assign(ir.events.size(), 0);
   gen_count_by_id_.assign(ir.events.size(), 0);
@@ -412,53 +382,6 @@ void Replica::route_out(const RPacket& p) {
   (void)front_.send(now_, p.wire_bytes());
 }
 
-void Replica::on_ingress(const RPacket& p) {
-  const int self = cfg_.switch_cfg.id;
-  if (p.location >= 0 && p.location != self) {
-    route_out(p);
-    return;
-  }
-  if (now_ < p.due) {
-    if (cfg_.sched.mode == sched::DelayMode::BaselineRecirculation) {
-      recirculate(p);
-      return;
-    }
-    if (delay_open_) {
-      recirculate(p);
-    } else {
-      ++stats_.delayed_enqueues;
-      delay_queue_.push_back(p);
-    }
-    return;
-  }
-  ++stats_.executed;
-  if (p.due > p.created) ++stats_.delay_samples;
-  execute(p);
-}
-
-void Replica::execute(const RPacket& p) {
-  const auto id = static_cast<std::size_t>(p.event_id);
-  if (p.event_id < 0 || id >= has_handler_by_id_.size() ||
-      has_handler_by_id_[id] == 0) {
-    return;
-  }
-  ++total_executions_;
-  ++exec_count_by_id_[id];
-
-  PacketIn in;
-  in.event_id = p.event_id;
-  in.nargs = p.nargs;
-  in.now_ns = now_;
-  in.self_id = cfg_.switch_cfg.id;
-  for (std::int32_t i = 0; i < p.nargs; ++i) in.args[i] = p.args[i];
-
-  const std::int32_t n =
-      prog_->module().run_one(array_ptrs_.data(), in, gen_buf_.data());
-  for (std::int32_t g = 0; g < n; ++g) {
-    dispatch_gen(gen_buf_[static_cast<std::size_t>(g)]);
-  }
-}
-
 void Replica::dispatch_gen(const GenOut& g) {
   if (g.event_id >= 0 &&
       static_cast<std::size_t>(g.event_id) < gen_count_by_id_.size()) {
@@ -502,11 +425,10 @@ void Replica::dispatch_gen(const GenOut& g) {
 
 void Replica::run_until(sim::Time t) {
   // Merge by (t, seq): the sorted pending-injection vector, the sorted
-  // pipeline-pass FIFO (batch mode; empty otherwise), and the in-flight
-  // heap. Seq numbers were allocated in registration/fire order on all
-  // three sides, so the merged order is exactly the order one big heap
-  // would produce — but the heap stays a handful of entries deep and the
-  // two hot sources pop in O(1).
+  // pipeline-pass FIFO, and the in-flight heap. Seq numbers were allocated
+  // in registration/fire order on all three sides, so the merged order is
+  // exactly the order one big heap would produce — but the heap stays a
+  // handful of entries deep and the two hot sources pop in O(1).
   const sim::Time pipe_ns = cfg_.switch_cfg.pipeline_latency_ns;
   for (;;) {
     enum class Src : std::uint8_t { kNone, kPending, kPass, kHeap };
@@ -538,32 +460,24 @@ void Replica::run_until(sim::Time t) {
     now_ = bt;
     if (src == Src::kPending) {
       // deliver_to_ingress: one pipeline pass of latency, then dispatch.
-      if (cfg_.batch_loop) {
-        // Bulk transfer: every pending injection due at now_ whose seq
-        // precedes the other same-t sources moves to the pass FIFO in one
-        // tight loop instead of re-running the three-way merge per packet.
-        // The stop key computed once holds for the whole run: the heap is
-        // untouched here, and pass_push only appends strictly larger
-        // (t, seq) keys behind the FIFO front.
-        std::uint64_t stop_seq = std::numeric_limits<std::uint64_t>::max();
-        if (!heap_.empty() && heap_.top().t == now_) {
-          stop_seq = heap_.top().seq;
-        }
-        if (pass_head_ < pass_q_.size()) {
-          const PassEntry& fe = pass_q_[pass_head_];
-          if (fe.t == now_ && fe.seq < stop_seq) stop_seq = fe.seq;
-        }
-        while (pending_head_ < pending_.size()) {
-          const PendingInject& p = pending_[pending_head_];
-          if (p.t != now_ || p.seq >= stop_seq) break;
-          pass_push(now_ + pipe_ns,
-                    static_cast<std::int32_t>(pending_head_),
-                    /*from_pool=*/false);
-          ++pending_head_;
-        }
-      } else {
-        const PendingInject& p = pending_[pending_head_++];
-        push(now_ + pipe_ns, Kind::FinishPass, p.pkt);
+      // Bulk transfer: every pending injection due at now_ whose seq
+      // precedes the other same-t sources moves to the pass FIFO in one
+      // tight loop instead of re-running the three-way merge per packet.
+      // The stop key computed once holds for the whole run: the heap is
+      // untouched here, and pass_push only appends strictly larger (t, seq)
+      // keys behind the FIFO front.
+      std::uint64_t stop_seq = std::numeric_limits<std::uint64_t>::max();
+      if (!heap_.empty() && heap_.top().t == now_) stop_seq = heap_.top().seq;
+      if (pass_head_ < pass_q_.size()) {
+        const PassEntry& fe = pass_q_[pass_head_];
+        if (fe.t == now_ && fe.seq < stop_seq) stop_seq = fe.seq;
+      }
+      while (pending_head_ < pending_.size()) {
+        const PendingInject& p = pending_[pending_head_];
+        if (p.t != now_ || p.seq >= stop_seq) break;
+        pass_push(now_ + pipe_ns, static_cast<std::int32_t>(pending_head_),
+                  /*from_pool=*/false);
+        ++pending_head_;
       }
       continue;
     }
@@ -577,23 +491,9 @@ void Replica::run_until(sim::Time t) {
       case Kind::Inject:
       case Kind::RecircDeliver:
         // deliver_to_ingress: one pipeline pass of latency, then dispatch.
-        if (cfg_.batch_loop) {
-          // The slot stays allocated until the drain consumes the pass.
-          pass_push(now_ + pipe_ns, e.pkt, /*from_pool=*/true);
-        } else {
-          // The packet slot is reused verbatim by the FinishPass entry.
-          push_idx(now_ + pipe_ns, Kind::FinishPass, e.pkt);
-        }
+        // The slot stays allocated until the drain consumes the pass.
+        pass_push(now_ + pipe_ns, e.pkt, /*from_pool=*/true);
         break;
-      case Kind::FinishPass: {
-        // Per-entry loop only (batch mode keeps passes out of the heap).
-        // Copy out before dispatching: on_ingress can allocate pool slots,
-        // which may reallocate the slab under a held reference.
-        const RPacket pkt = pool_[static_cast<std::size_t>(e.pkt)];
-        release_slot(e.pkt);
-        on_ingress(pkt);
-        break;
-      }
       case Kind::PfcOpen:
         delay_open_ = true;
         // Drain FIFO through the recirculation port (set_delay_queue_open).
@@ -657,7 +557,8 @@ void Replica::drain_passes() {
   // (route-out, delay, recirculate) has side effects on the ports / the
   // seq sequence, so the pending execution sub-run is flushed first —
   // which keeps all port sends and seq allocations in exactly the order
-  // the per-entry loop produces.
+  // dispatching each pass on its own would produce (and the reference
+  // simulator does).
   const int self = cfg_.switch_cfg.id;
   std::uint64_t drained = 0;
   batch_in_.clear();
@@ -785,7 +686,7 @@ void Replica::compact_pending() {
       pending_.shrink_to_fit();
     }
   }
-  // Same discipline for the pipeline-pass FIFO (batch mode).
+  // Same discipline for the pipeline-pass FIFO.
   if (pass_head_ >= kPendingCompactThreshold &&
       pass_head_ * 2 >= pass_q_.size()) {
     pass_q_.erase(pass_q_.begin(),

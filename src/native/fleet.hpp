@@ -40,7 +40,7 @@ struct FleetConfig {
   /// Shard count; clamped to >= 1. One worker thread per shard.
   int shards = 1;
   /// Per-shard replica configuration (every shard mirrors the same switch
-  /// id, scheduler mode, and batch_loop setting).
+  /// id and scheduler mode).
   ReplicaConfig replica;
   /// Register per-shard labeled obs instruments (shard="<i>" on the
   /// packets/batch-size/queue-depth metrics). Off for reference replicas so

@@ -174,7 +174,8 @@ void Module::run_batch(std::int64_t* const* arrays, const PacketIn* in,
   batches.add();
   sizes.observe(static_cast<std::uint64_t>(n));
   // Sampled instant per batch (one relaxed load when tracing is off) — the
-  // hook bench_obs drives at 1/256 sampling for its bounded-overhead gate.
+  // hook bench_native drives at 1/256 sampling for its bounded-overhead
+  // gate.
   obs::Tracer::global().mark("native", "batch", "n", n);
 }
 

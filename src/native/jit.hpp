@@ -40,7 +40,8 @@ class Module {
                  std::int32_t* gen_counts) const;
 
   /// The raw generated entry point, with no instrumentation at all —
-  /// bench_obs measures its pps as the baseline for the overhead gate.
+  /// bench_native measures its pps as the baseline for the obs overhead
+  /// gate.
   [[nodiscard]] RunBatchFn raw_run_batch() const { return run_batch_; }
 
   /// Milliseconds spent in the external compiler (0 on cache hit).

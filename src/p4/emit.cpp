@@ -881,11 +881,6 @@ class Emitter {
 
 }  // namespace
 
-P4Program emit(const CompileResult& result, std::string_view program_name) {
-  Emitter e(result.ir, result.pipeline, program_name);
-  return e.run();
-}
-
 P4Program emit(const Compilation& comp, std::string_view program_name) {
   Emitter e(comp.ir(), comp.pipeline(), program_name);
   return e.run();

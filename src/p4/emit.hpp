@@ -20,7 +20,6 @@
 #include <map>
 #include <string>
 
-#include "core/compiler.hpp"
 #include "core/driver.hpp"
 
 namespace lucid::p4 {
@@ -50,11 +49,6 @@ struct P4Program {
 
 /// Emits from a driver Compilation (Layout stage must have succeeded).
 [[nodiscard]] P4Program emit(const Compilation& comp,
-                             std::string_view program_name);
-
-/// Emits the compiled program. `result.ok` must be true. Prefer the
-/// Compilation overload / the "p4" backend via CompilerDriver::emit.
-[[nodiscard]] P4Program emit(const CompileResult& result,
                              std::string_view program_name);
 
 /// Registers the "p4" backend with `registry`; false if already present.

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "core/backends.hpp"
-#include "core/compiler.hpp"
 #include "interp/testbed.hpp"
 
 namespace lucid {
@@ -426,30 +425,6 @@ TEST(Driver, ChainedClonesResolveThroughTheChain) {
   EXPECT_EQ(&leaf->ast(), &base->ast());
   EXPECT_EQ(&leaf->pipeline(), &mid->pipeline());
   EXPECT_NE(&mid->pipeline(), &base->pipeline());
-}
-
-// ---------------------------------------------------------------------------
-// The deprecated one-shot compile() shim stays faithful to the driver
-// ---------------------------------------------------------------------------
-
-TEST(Driver, DeprecatedCompileShimMatchesDriver) {
-  DiagnosticEngine diags(kCounter);
-  const CompileResult ok = compile(kCounter, diags);
-  ASSERT_TRUE(ok.ok) << diags.render();
-  EXPECT_FALSE(diags.has_errors());
-  EXPECT_EQ(ok.ir.arrays.size(), 1u);
-  const CompilerDriver driver;
-  const CompilationPtr comp = driver.run(kCounter, Stage::Layout);
-  EXPECT_EQ(ok.stats.optimized_stages,
-            comp->layout_stats().optimized_stages);
-  EXPECT_EQ(ok.pipeline.array_stage, comp->pipeline().array_stage);
-
-  // Failure path: diagnostics replay into the caller's engine.
-  DiagnosticEngine bad_diags(kSemaError);
-  const CompileResult bad = compile(kSemaError, bad_diags);
-  EXPECT_FALSE(bad.ok);
-  EXPECT_TRUE(bad_diags.has_errors());
-  EXPECT_TRUE(bad_diags.has_code("sema-undefined"));
 }
 
 // ---------------------------------------------------------------------------
