@@ -19,9 +19,9 @@
 //    sampling (obs-256), against the raw entry point. Modes are interleaved
 //    per rep and best-of kept, so machine drift hits all three alike.
 //
-// 3. Scaling. A burst schedule on the heaviest app (most passes in section
-//    1), partitioned by a ReplicaFleet at 1/2/4/8 shards. The merged pass
-//    count is shard-count invariant, so the pps compare identical work.
+// 3. Scaling. A burst schedule on SFW, partitioned by a ReplicaFleet at
+//    1/2/4/8 shards. SFW's merged pass count is shard-count invariant
+//    (tests/test_native.cpp pins it), so the pps compare identical work.
 //
 // 4. Sample artifacts. A ten-app traced interpreter run (full sampling)
 //    writes trace.json (Chrome trace-event JSON, loadable in Perfetto) and
@@ -321,20 +321,18 @@ int main() {
               1.0 - kMaxSampledOverhead);
 
   // -- section 3: scaling ----------------------------------------------------
-  std::size_t heavy = 0;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].passes > rows[heavy].passes) heavy = i;
-  }
+  const AppRow& scaled = *std::find_if(
+      rows.begin(), rows.end(), [](const AppRow& r) { return r.key == "SFW"; });
   std::vector<ScalePoint> scale;
   double scaling8 = 0.0;
-  if (rows[heavy].prog != nullptr) {
-    scale = run_scaling(rows[heavy].prog);
+  if (scaled.prog != nullptr) {
+    scale = run_scaling(scaled.prog);
     if (scale.front().pps > 0) scaling8 = scale.back().pps / scale.front().pps;
   }
   const bool scaling_measurable = hw >= 8;
   const bool scaling_ok = !scaling_measurable || scaling8 >= kRequiredScaling;
-  std::printf("\n  scaling sweep (%s, %u hw threads):",
-              rows[heavy].key.c_str(), hw);
+  std::printf("\n  scaling sweep (%s, %u hw threads):", scaled.key.c_str(),
+              hw);
   for (const auto& p : scale) {
     std::printf("  %d-shard %.0f pps", p.shards, p.pps);
   }
@@ -390,7 +388,7 @@ int main() {
       .field("gate_passed", obs_ok && artifacts_ok)
       .obj_close();
   j.obj_open("scaling")
-      .field("app", rows[heavy].key)
+      .field("app", scaled.key)
       .field("bursts", kScaleBursts)
       .field("burst_size", kBurstSize)
       .field("reps", kScaleReps)
