@@ -2,12 +2,14 @@
 // pipeline module (src/native/jit.cpp loads one per program).
 //
 // A module is self-contained generated C++ (src/native/emit.cpp) compiled to
-// a shared object and dlopen'd into the process. It exports four C symbols:
+// a shared object (linked -nostdlib: it calls no library function) and
+// dlopen'd into the process. It exports three C symbols:
 //
 //   lucid_native_abi_version()  -> kAbiVersion (checked at load)
 //   lucid_native_max_gens()     -> max generate records one packet can emit
-//   lucid_native_run_one(arrays, in, out)            -> gen count
 //   lucid_native_run_batch(arrays, in, n, out, cnts) -> per-packet gen counts
+//
+// A one-packet call is a batch of one (Module::run_one).
 //
 // `arrays` is one raw cell pointer per register array, in IR declaration
 // order (ir::ProgramIR::arrays). The module owns all semantics — width
@@ -20,7 +22,7 @@
 
 namespace lucid::native {
 
-inline constexpr std::uint32_t kAbiVersion = 1;
+inline constexpr std::uint32_t kAbiVersion = 2;
 
 /// Fixed argument capacity: the backend refuses programs whose events carry
 /// more parameters (the paper apps top out at 5).
@@ -51,15 +53,12 @@ struct GenOut {
 
 using AbiVersionFn = std::uint32_t (*)();
 using MaxGensFn = std::int32_t (*)();
-using RunOneFn = std::int32_t (*)(std::int64_t* const* arrays,
-                                  const PacketIn* in, GenOut* out);
 using RunBatchFn = void (*)(std::int64_t* const* arrays, const PacketIn* in,
                             std::int32_t n, GenOut* out,
                             std::int32_t* gen_counts);
 
 inline constexpr const char* kSymAbiVersion = "lucid_native_abi_version";
 inline constexpr const char* kSymMaxGens = "lucid_native_max_gens";
-inline constexpr const char* kSymRunOne = "lucid_native_run_one";
 inline constexpr const char* kSymRunBatch = "lucid_native_run_batch";
 
 }  // namespace lucid::native

@@ -20,17 +20,29 @@
 //     lockstep with support::fnv1a_word;
 //   - generated-event args mask to the event's param widths (EventCtor).
 //
-// Batch equivalence: lucid_native_run_batch runs packets in order, each one
-// straight through the whole pipeline (load, stages, flush) on a single
-// reused Ctx — exactly the order sequential run_one calls produce, so state
-// equivalence is trivial. A stage-major walk (each stage as a loop over the
-// batch, PISA's stage parallelism in software) would also preserve per-array
-// access order — the layout pins every register array to exactly one stage
+// Module shape (ABI v2, src/native/abi.hpp): one lucid_event_<id> function
+// per event that owns tables, and lucid_native_run_batch dispatching each
+// packet with one switch on its event id. Every table belongs to exactly one
+// handler (the eBPF emitter's table_condition starts with the event-id test),
+// so a handler's function holds its tables in the (stage, table, member)
+// order the layout placed them, and a packet runs the same statements in the
+// same order as a stage-major walk with per-table event-id tests would. Each
+// function zeroes a fresh Ctx (locals + params), loads the params, and runs
+// the tables; a generate table writes its GenOut record where it runs, so
+// records leave in site order == the order the interpreter's handler body
+// reached each generate.
+//
+// Batch equivalence: run_batch runs packets in order, each straight through
+// its handler, so a one-packet batch is the single-packet call
+// (Module::run_one) and state equivalence is trivial. A stage-major walk
+// over the batch (PISA's stage parallelism in software) would also preserve
+// per-array access order — the layout pins every register array to one stage
 // (opt::Pipeline::array_stage) and a packet makes at most one sALU visit per
 // array per pass — but it round-trips every packet's Ctx through a scratch
 // slab between stages, which measures slower at event-loop drain sizes.
-// Locals are per-packet (Ctx, fully re-initialized by lucid_load), and
-// generate records flush per packet after its last stage.
+//
+// The module calls no library function and is linked -nostdlib
+// (src/native/jit.cpp).
 #include "native/emit.hpp"
 
 #include <algorithm>
@@ -157,19 +169,14 @@ class Emitter {
       : ir_(ir), pipeline_(pipeline), name_(name) {}
 
   EmittedModule run() {
-    for (const auto& [site, table] : generate_sites()) {
-      gen_site_index_[table] = site;
-    }
     collect_vars();
     preamble();
     ctx_struct();
-    load_fn();
-    stage_fns();
-    flush_fn();
+    event_fns();
     entry_points();
     EmittedModule m;
     m.text = std::move(out_);
-    m.gen_sites = static_cast<int>(gen_site_index_.size());
+    m.gen_sites = gen_sites_;
     m.stages = static_cast<int>(pipeline_.stages.size());
     m.loc = loc_;
     return m;
@@ -212,6 +219,7 @@ class Emitter {
               for (const auto& a : t.hash.args) note_var(a);
               break;
             case TableKind::Generate:
+              ++gen_sites_;
               for (const auto& a : t.gen.args) note_var(a);
               note_var(t.gen.delay);
               note_var(t.gen.location);
@@ -233,31 +241,6 @@ class Emitter {
     }
     vars_.insert("__self");
     vars_.insert("__ts");
-  }
-
-  std::vector<std::pair<int, const AtomicTable*>> generate_sites() const {
-    std::vector<std::pair<int, const AtomicTable*>> sites;
-    int n = 0;
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* t : mt.members) {
-          if (t->kind == TableKind::Generate) sites.emplace_back(n++, t);
-        }
-      }
-    }
-    return sites;
-  }
-
-  int gen_site_of(const AtomicTable* t) const {
-    const auto it = gen_site_index_.find(t);
-    return it != gen_site_index_.end() ? it->second : -1;
-  }
-
-  int event_id_of(const std::string& handler) const {
-    for (const auto& ev : ir_.events) {
-      if (ev.name == handler) return ev.event_id;
-    }
-    return -1;
   }
 
   int array_slot(const std::string& name) const {
@@ -326,60 +309,18 @@ class Emitter {
     line("// Handler locals + event params; zero-init per packet matches");
     line("// interpreter Frame defaults. All fields are i64 (Value).");
     line("struct Ctx {");
-    line("  i32 ev_id;");
     for (const auto& name : vars_) {
       line("  i64 " + sanitize(name) + ";");
-    }
-    for (const auto& [site, t] : generate_sites()) {
-      const std::string p = "g" + std::to_string(site) + "_";
-      line("  i64 " + p + "fired;");
-      line("  i64 " + p + "delay;");
-      line("  i64 " + p + "loc;");
-      const auto& ev = ir_.events[static_cast<std::size_t>(t->gen.event_id)];
-      const std::size_t nargs =
-          std::min(t->gen.args.size(), ev.params.size());
-      for (std::size_t i = 0; i < nargs; ++i) {
-        line("  i64 " + p + "a" + std::to_string(i) + ";");
-      }
     }
     line("};");
     blank();
   }
 
-  void load_fn() {
-    line("// Dispatcher: zero the ctx and copy event params in, masked to");
-    line("// their declared widths (Runtime::execute).");
-    line("inline void lucid_load(Ctx& m, const PacketIn& in) {");
-    line("  m = Ctx{};");
-    line("  m.ev_id = in.event_id;");
-    line("  m.__self = in.self_id;");
-    line("  m.__ts = lucid_mask(in.now_ns, 32);");
-    line("  switch (in.event_id) {");
-    for (const auto& ev : ir_.events) {
-      if (ev.params.empty()) continue;
-      line("    case " + std::to_string(ev.event_id) + ":  // " + ev.name);
-      const std::size_t nargs =
-          std::min<std::size_t>(ev.params.size(), kMaxArgs);
-      for (std::size_t i = 0; i < nargs; ++i) {
-        line("      " + ctx_ref(ev.params[i].first) + " = " +
-             masked("in.args[" + std::to_string(i) + "]",
-                    ev.params[i].second) +
-             ";");
-      }
-      line("      break;");
-    }
-    line("    default: break;");
-    line("  }");
-    line("}");
-    blank();
-  }
-
-  /// `m.ev_id == <id> && (guard disjunction)` — same shape as the eBPF
-  /// emitter's table_condition.
+  /// The guard disjunction of `t`, or "" when the table is unguarded. The
+  /// event-id half of the eBPF emitter's table_condition is the dispatch
+  /// switch in lucid_native_run_batch: each table sits in its handler's
+  /// lucid_event_<id> function.
   std::string table_condition(const AtomicTable& t) const {
-    std::string cond =
-        "m.ev_id == " + std::to_string(event_id_of(t.handler));
-    if (t.guards.empty()) return cond;
     std::string dis;
     for (std::size_t c = 0; c < t.guards.size(); ++c) {
       if (c > 0) dis += " || ";
@@ -393,7 +334,7 @@ class Emitter {
       if (t.guards[c].empty()) conj = "1";
       dis += t.guards.size() > 1 ? "(" + conj + ")" : conj;
     }
-    return cond + " && (" + dis + ")";
+    return dis;
   }
 
   void emit_memop_assign(const std::string& indent, const std::string& dst,
@@ -518,22 +459,36 @@ class Emitter {
         break;
       }
       case TableKind::Generate: {
-        const int site = gen_site_of(&t);
-        const std::string p = "m.g" + std::to_string(site) + "_";
-        line(indent + p + "fired = 1;");
-        line(indent + p + "delay = " + operand_str(t.gen.delay) + ";");
-        line(indent + p + "loc = " +
-             (t.gen.location.is_none() ? "-1"
-                                       : operand_str(t.gen.location)) +
-             ";");
+        // The record is written where the generate runs. A handler's tables
+        // run in site (placement) order, so records leave in the order the
+        // interpreter's handler body reached each generate. Args mask to
+        // the event's param widths (EventCtor).
         const auto& ev =
             ir_.events[static_cast<std::size_t>(t.gen.event_id)];
         const std::size_t nargs =
             std::min(t.gen.args.size(), ev.params.size());
+        line(indent + "{");
+        line(indent + "  GenOut& g = out[n++];  // " + ev.name);
+        line(indent + "  g.event_id = " + std::to_string(t.gen.event_id) +
+             ";");
+        line(indent + "  g.multicast = " + (t.gen.multicast ? "1" : "0") +
+             ";");
+        line(indent + "  g.group = " +
+             std::to_string(t.gen.group.empty() ? -1
+                                                : group_slot(t.gen.group)) +
+             ";");
+        line(indent + "  g.nargs = " + std::to_string(nargs) + ";");
+        line(indent + "  g.delay_ns = " + operand_str(t.gen.delay) + ";");
+        line(indent + "  g.location = " +
+             (t.gen.location.is_none() ? "-1"
+                                       : operand_str(t.gen.location)) +
+             ";");
         for (std::size_t i = 0; i < nargs; ++i) {
-          line(indent + p + "a" + std::to_string(i) + " = " +
-               operand_str(t.gen.args[i]) + ";");
+          line(indent + "  g.args[" + std::to_string(i) + "] = " +
+               masked(operand_str(t.gen.args[i]), ev.params[i].second) +
+               ";");
         }
+        line(indent + "}");
         break;
       }
       case TableKind::Branch:
@@ -542,102 +497,79 @@ class Emitter {
     }
   }
 
-  void stage_fns() {
-    int sidx = 0;
+  /// One function per event that owns tables, on a fresh zeroed Ctx: the
+  /// params masked to their declared widths (Runtime::execute), then the
+  /// handler's tables in (stage, table, member) order. Returns the number
+  /// of GenOut records written.
+  void event_fns() {
+    std::map<std::string, std::vector<const AtomicTable*>> by_handler;
     for (const auto& stage : pipeline_.stages) {
-      line("inline void lucid_stage_" + std::to_string(sidx) +
-           "(Ctx& m, i64* const* R) {");
-      bool any = false;
       for (const auto& mt : stage.tables) {
-        for (const auto* member : mt.members) {
-          const AtomicTable& t = *member;
-          if (t.kind == TableKind::Branch) continue;
-          any = true;
-          line("  if (" + table_condition(t) + ") {  // " + t.handler +
-               ": " + std::string(ir::table_kind_name(t.kind)));
-          emit_table(t, "    ");
+        for (const auto* t : mt.members) {
+          if (t->kind != TableKind::Branch) by_handler[t->handler].push_back(t);
+        }
+      }
+    }
+    for (const auto& ev : ir_.events) {
+      const auto it = by_handler.find(ev.name);
+      if (it == by_handler.end()) continue;
+      events_.push_back(&ev);
+      line("inline i32 lucid_event_" + std::to_string(ev.event_id) +
+           "(i64* const* R, const PacketIn& in, GenOut* out) {  // " +
+           ev.name);
+      line("  Ctx m{};");
+      line("  m.__self = in.self_id;");
+      line("  m.__ts = lucid_mask(in.now_ns, 32);");
+      line("  i32 n = 0;");
+      const std::size_t nargs =
+          std::min<std::size_t>(ev.params.size(), kMaxArgs);
+      for (std::size_t i = 0; i < nargs; ++i) {
+        line("  " + ctx_ref(ev.params[i].first) + " = " +
+             masked("in.args[" + std::to_string(i) + "]",
+                    ev.params[i].second) +
+             ";");
+      }
+      for (const AtomicTable* t : it->second) {
+        const std::string cond = table_condition(*t);
+        const std::string kind(ir::table_kind_name(t->kind));
+        if (cond.empty()) {
+          line("  // " + kind);
+          emit_table(*t, "  ");
+        } else {
+          line("  if (" + cond + ") {  // " + kind);
+          emit_table(*t, "    ");
           line("  }");
         }
       }
-      if (!any) line("  (void)m; (void)R;");
+      line("  return n;");
       line("}");
       blank();
-      ++sidx;
     }
-  }
-
-  void flush_fn() {
-    line("// Generate flush, in site (placement) order == the order the");
-    line("// interpreter's handler body reached each generate. Args mask to");
-    line("// the event's param widths (EventCtor).");
-    line("inline i32 lucid_flush(Ctx& m, GenOut* out) {");
-    line("  i32 n = 0;");
-    for (const auto& [site, t] : generate_sites()) {
-      const std::string p = "m.g" + std::to_string(site) + "_";
-      const auto& ev = ir_.events[static_cast<std::size_t>(t->gen.event_id)];
-      const std::size_t nargs =
-          std::min(t->gen.args.size(), ev.params.size());
-      line("  if (" + p + "fired) {  // " + ev.name);
-      line("    GenOut& g = out[n++];");
-      line("    g.event_id = " + std::to_string(t->gen.event_id) + ";");
-      line("    g.multicast = " + std::string(t->gen.multicast ? "1" : "0") +
-           ";");
-      line("    g.group = " +
-           std::to_string(t->gen.group.empty() ? -1
-                                               : group_slot(t->gen.group)) +
-           ";");
-      line("    g.nargs = " + std::to_string(nargs) + ";");
-      line("    g.delay_ns = " + p + "delay;");
-      line("    g.location = " + p + "loc;");
-      for (std::size_t i = 0; i < nargs; ++i) {
-        line("    g.args[" + std::to_string(i) + "] = " +
-             masked(p + "a" + std::to_string(i), ev.params[i].second) + ";");
-      }
-      line("  }");
-    }
-    if (gen_site_index_.empty()) line("  (void)m; (void)out;");
-    line("  return n;");
-    line("}");
-    blank();
   }
 
   void entry_points() {
-    const int gens = static_cast<int>(gen_site_index_.size());
-    const int stages = static_cast<int>(pipeline_.stages.size());
     line("}  // namespace");
     blank();
     line("extern \"C\" u32 lucid_native_abi_version() { return " +
          std::to_string(kAbiVersion) + "; }");
     line("extern \"C\" i32 lucid_native_max_gens() { return " +
-         std::to_string(gens) + "; }");
+         std::to_string(gen_sites_) + "; }");
     blank();
-    line("extern \"C\" i32 lucid_native_run_one(i64* const* R, "
-         "const PacketIn* in, GenOut* out) {");
-    line("  Ctx m;");
-    line("  lucid_load(m, *in);");
-    for (int s = 0; s < stages; ++s) {
-      line("  lucid_stage_" + std::to_string(s) + "(m, R);");
-    }
-    line("  return lucid_flush(m, out);");
-    line("}");
-    blank();
-    line("// Batch mode: per-packet straight-line execution with one shared");
-    line("// Ctx — the pipeline state stays in registers instead of round-");
-    line("// tripping a scratch slab between stage loops (the event loop's");
-    line("// drains are tens of packets, far below streaming sizes where a");
-    line("// stage-major walk could pay off). Per-array access order is");
-    line("// packet order either way: each register array is pinned to one");
-    line("// stage, and packets run in order.");
+    line("// Packets run in order, each straight through its handler; see");
+    line("// src/native/emit.cpp for why not stage-major.");
     line("extern \"C\" void lucid_native_run_batch(i64* const* R, "
          "const PacketIn* in, i32 n, GenOut* out, i32* gen_counts) {");
-    line("  Ctx m;");
     line("  for (i32 i = 0; i < n; ++i) {");
-    line("    lucid_load(m, in[i]);");
-    for (int s = 0; s < stages; ++s) {
-      line("    lucid_stage_" + std::to_string(s) + "(m, R);");
+    line("    GenOut* o = out + (i64)i * " +
+         std::to_string(std::max(gen_sites_, 1)) + ";");
+    line("    switch (in[i].event_id) {");
+    for (const ir::EventInfo* ev : events_) {
+      const std::string id = std::to_string(ev->event_id);
+      line("      case " + id + ": gen_counts[i] = lucid_event_" + id +
+           "(R, in[i], o); break;");
     }
-    line("    gen_counts[i] = lucid_flush(m, out + (i64)i * " +
-         std::to_string(std::max(gens, 1)) + ");");
+    line("      default: gen_counts[i] = 0; break;");
+    line("    }");
     line("  }");
     line("}");
   }
@@ -648,7 +580,8 @@ class Emitter {
   std::string out_;
   int loc_ = 0;
   std::set<std::string> vars_;
-  std::map<const AtomicTable*, int> gen_site_index_;
+  int gen_sites_ = 0;
+  std::vector<const ir::EventInfo*> events_;  // those with a lucid_event_ fn
 };
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Native code generation: renders the laid-out pipeline as self-contained
 // C++ that executes packets with the interpreter's exact semantics, but as
-// straight-line code — each packet runs the stage functions in order on one
-// reused context, with switch dispatch on the event id in the param loader
-// and an event-id check per table. No AST walking. The JIT
-// (src/native/jit.hpp) compiles the result into the process.
+// straight-line code — one function per event handler holding its tables in
+// pipeline order, picked per packet by one switch on the event id. No AST
+// walking. The JIT (src/native/jit.hpp) compiles the result into the
+// process.
 #pragma once
 
 #include <string>
@@ -16,7 +16,7 @@ namespace lucid::native {
 struct EmittedModule {
   std::string text;   // the generated translation unit
   int gen_sites = 0;  // generate tables == max GenOut records per packet
-  int stages = 0;     // pipeline stages rendered
+  int stages = 0;     // pipeline stages the tables were laid out in
   int loc = 0;        // lines emitted
 };
 

@@ -648,10 +648,10 @@ void Replica::flush_exec_batch() {
   if (batch_counts_.size() < static_cast<std::size_t>(n)) {
     batch_counts_.resize(static_cast<std::size_t>(n));
   }
-  // The raw entry point: packets in order, each straight through the
-  // pipeline on one reused Ctx (emit.cpp), so state is byte-identical to
-  // sequential run_one calls — the contract
-  // tests/test_native.cpp::BatchMatchesSequentialRunOne pins.
+  // The raw entry point: packets in order, each straight through its
+  // handler (emit.cpp), so state is byte-identical to sequential one-packet
+  // calls — the contract NativeBatchApps.BatchMatchesSequentialRunOne pins
+  // on every app (tests/test_native.cpp).
   run_batch_fn_(array_ptrs_.data(), batch_in_.data(), n, batch_out_.data(),
                 batch_counts_.data());
   // Generated events dispatch per packet, in packet order — the same

@@ -1,12 +1,15 @@
 // In-process JIT for native pipeline modules: writes the emitted C++ to a
-// temp file, shells out to the system compiler, dlopens the result, and
-// resolves the four ABI entry points (src/native/abi.hpp).
+// temp file, spawns the system compiler on it (posix_spawnp, no shell),
+// dlopens the result, and resolves the three ABI entry points
+// (src/native/abi.hpp).
 //
 // Compiler resolution order: $LUCID_NATIVE_CXX, then the compiler that built
-// this binary (LUCID_NATIVE_CXX_DEFAULT, baked in by CMake), then "c++".
+// this binary (LUCID_NATIVE_CXX_DEFAULT, baked in by CMake), then "c++"; the
+// value names one executable, found on PATH when it has no slash.
 // Modules are cached process-wide by source hash, so repeated builds of the
 // same program (e.g. the differential suite running interp and native side
-// by side per app) compile once.
+// by side per app) compile once. Compile time, cache hits and misses, and
+// failures are published to obs::Registry as lucid_native_jit_*.
 #pragma once
 
 #include <memory>
@@ -28,9 +31,13 @@ class Module {
                                       std::string* error);
 
   [[nodiscard]] std::int32_t max_gens() const { return max_gens_; }
-  [[nodiscard]] std::int32_t run_one(std::int64_t* const* arrays,
-                                     const PacketIn& in, GenOut* out) const {
-    return run_one_(arrays, &in, out);
+  /// One packet as a batch of one through the raw entry point
+  /// (uninstrumented); returns its generate count.
+  std::int32_t run_one(std::int64_t* const* arrays, const PacketIn& in,
+                       GenOut* out) const {
+    std::int32_t gens = 0;
+    run_batch_(arrays, &in, 1, out, &gens);
+    return gens;
   }
   /// Runs a batch and publishes the obs batch metrics (one histogram
   /// observation + one counter add per *batch*, so the per-packet path
@@ -51,7 +58,6 @@ class Module {
   Module() = default;
 
   void* handle_ = nullptr;
-  RunOneFn run_one_ = nullptr;
   RunBatchFn run_batch_ = nullptr;
   std::int32_t max_gens_ = 0;
   double compile_ms_ = 0.0;

@@ -4,9 +4,11 @@
 // native engine must leave register state *byte-identical* to the reference
 // interpreter — every cell of every array, every per-event execution and
 // generate count, every scheduler counter. These tests pin that contract on
-// all ten paper applications with randomized traffic, pin run_batch against
-// run_one, pin the coupled Runtime inside a real multi-node fabric, and pin
-// the control-plane adapter (ctrl::NativeDataPlane) against the interp one.
+// all ten paper applications and a slice of generated programs with
+// randomized traffic, pin run_batch against one-packet calls on every app,
+// pin the coupled Runtime inside a real multi-node fabric, and pin the
+// control-plane adapter (ctrl::NativeDataPlane) against the interp one. The
+// JIT tests pin the shell-free compile and its registry metrics.
 //
 // The sharded fleet extends the contract per shard (see tests/README.md):
 // each ReplicaFleet shard must be byte-identical to a single-threaded
@@ -15,7 +17,13 @@
 // (TSan-labeled) coverage for the batched event loop.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,8 +32,11 @@
 #include "apps/apps.hpp"
 #include "core/backends.hpp"
 #include "ctrl/native_bridge.hpp"
+#include "frontend/progen.hpp"
 #include "native/differential.hpp"
+#include "native/emit.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 
 namespace lucid::native {
 namespace {
@@ -70,11 +81,50 @@ TEST(NativeDifferential, SeedChangesScheduleButNotAgreement) {
 }
 
 // ---------------------------------------------------------------------------
-// run_batch == run_one
+// Generated programs: the contract beyond the ten hand-written apps
 // ---------------------------------------------------------------------------
 
-TEST(NativeBatch, BatchMatchesSequentialRunOne) {
-  const auto prog = build_app("SFW");
+TEST(NativeDifferential, GeneratedProgramsByteIdenticalState) {
+  frontend::ProgenConfig cfg;
+  cfg.consts = 3;
+  cfg.arrays = 6;
+  cfg.memops = 2;
+  cfg.funs = 2;
+  cfg.handlers = 6;
+  cfg.stmts_per_handler = 6;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    cfg.seed = seed;
+    const std::string name = "gen" + std::to_string(seed);
+    const auto out = diff::run_differential(frontend::generate_program(cfg),
+                                            name, seed, 300);
+    EXPECT_TRUE(out.ok) << name << ": " << out.detail;
+    EXPECT_GT(out.interp.executed, 0u) << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-app parameterized suites: the parameter indexes apps::all_apps()
+// ---------------------------------------------------------------------------
+
+class PerApp : public ::testing::TestWithParam<int> {
+ protected:
+  const apps::AppSpec& spec() const {
+    return apps::all_apps()[static_cast<std::size_t>(GetParam())];
+  }
+};
+
+std::string app_param_name(const ::testing::TestParamInfo<int>& info) {
+  return apps::all_apps()[static_cast<std::size_t>(info.param)].key;
+}
+
+// ---------------------------------------------------------------------------
+// run_batch == sequential one-packet calls
+// ---------------------------------------------------------------------------
+
+class NativeBatchApps : public PerApp {};
+
+TEST_P(NativeBatchApps, BatchMatchesSequentialRunOne) {
+  const auto prog = build_app(spec().key);
   ASSERT_NE(prog, nullptr);
   const ir::ProgramIR& ir = prog->ir();
 
@@ -90,8 +140,8 @@ TEST(NativeBatch, BatchMatchesSequentialRunOne) {
   for (auto& c : one_cells) one_ptrs.push_back(c.data());
   for (auto& c : batch_cells) batch_ptrs.push_back(c.data());
 
-  // A packet vector spanning every handled event with varied args; batch
-  // size 1000 crosses the module's internal chunk boundary (256).
+  // 1000 packets round-robin over every handled event with varied args:
+  // one run_batch call against 1000 one-packet calls.
   std::vector<const ir::EventInfo*> handled;
   for (const auto& cand : ir.events) {
     if (cand.has_handler) handled.push_back(&cand);
@@ -116,11 +166,12 @@ TEST(NativeBatch, BatchMatchesSequentialRunOne) {
   }
 
   const auto gens = std::max<std::int32_t>(prog->module().max_gens(), 1);
-  std::vector<GenOut> one_out(static_cast<std::size_t>(gens));
+  std::vector<GenOut> one_out(packets.size() * static_cast<std::size_t>(gens));
   std::vector<std::int32_t> one_counts;
-  for (const auto& p : packets) {
-    one_counts.push_back(
-        prog->module().run_one(one_ptrs.data(), p, one_out.data()));
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    one_counts.push_back(prog->module().run_one(
+        one_ptrs.data(), packets[i],
+        one_out.data() + i * static_cast<std::size_t>(gens)));
   }
 
   std::vector<GenOut> batch_out(packets.size() *
@@ -132,9 +183,23 @@ TEST(NativeBatch, BatchMatchesSequentialRunOne) {
 
   EXPECT_EQ(one_cells, batch_cells);
   for (std::size_t i = 0; i < packets.size(); ++i) {
-    EXPECT_EQ(one_counts[i], batch_counts[i]) << "packet " << i;
+    ASSERT_EQ(one_counts[i], batch_counts[i]) << "packet " << i;
+    for (std::int32_t g = 0; g < one_counts[i]; ++g) {
+      const std::size_t k = i * static_cast<std::size_t>(gens) +
+                            static_cast<std::size_t>(g);
+      const GenOut& a = one_out[k];
+      const GenOut& b = batch_out[k];
+      EXPECT_EQ(a.event_id, b.event_id) << "packet " << i << " gen " << g;
+      EXPECT_EQ(a.delay_ns, b.delay_ns) << "packet " << i << " gen " << g;
+      EXPECT_EQ(a.location, b.location) << "packet " << i << " gen " << g;
+      EXPECT_TRUE(std::equal(a.args, a.args + a.nargs, b.args, b.args + b.nargs))
+          << "packet " << i << " gen " << g;
+    }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllTen, NativeBatchApps, ::testing::Range(0, 10),
+                         app_param_name);
 
 // ---------------------------------------------------------------------------
 // Coupled Runtime: native engine inside the real simulator fabric
@@ -330,12 +395,7 @@ bool merged_work_shard_invariant(const std::string& key) {
   return key != "RIP";
 }
 
-class NativeFleetApps : public ::testing::TestWithParam<int> {
- protected:
-  const apps::AppSpec& spec() const {
-    return apps::all_apps()[static_cast<std::size_t>(GetParam())];
-  }
-};
+class NativeFleetApps : public PerApp {};
 
 TEST_P(NativeFleetApps, ShardCountInvariance) {
   const auto prog = build_app(spec().key);
@@ -409,11 +469,7 @@ TEST_P(NativeFleetApps, ShardCountInvariance) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTen, NativeFleetApps, ::testing::Range(0, 10),
-                         [](const auto& info) {
-                           return apps::all_apps()[static_cast<std::size_t>(
-                                                       info.param)]
-                               .key;
-                         });
+                         app_param_name);
 
 // ---------------------------------------------------------------------------
 // Batched drain across a timestamp tie-break boundary
@@ -551,9 +607,75 @@ TEST(NativeBackend, RegisteredAndEmits) {
   EXPECT_TRUE(art.ok) << comp->diags().render();
   EXPECT_GT(art.metrics.at("loc"), 0);
   EXPECT_GT(art.metrics.at("stages"), 0);
-  // The generated module carries the four ABI entry points.
-  EXPECT_NE(art.text.find("lucid_native_run_one"), std::string::npos);
-  EXPECT_NE(art.text.find("lucid_native_run_batch"), std::string::npos);
+  // The generated module carries the three ABI v2 entry points, and not
+  // v1's lucid_native_run_one.
+  for (const char* sym :
+       {kSymAbiVersion, kSymMaxGens, kSymRunBatch}) {
+    EXPECT_NE(art.text.find(std::string(sym) + "("), std::string::npos)
+        << sym;
+  }
+  EXPECT_EQ(art.text.find("lucid_native_run_one"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// JIT: no shell, and the registry sees every compile
+// ---------------------------------------------------------------------------
+
+/// SFW's module text plus a unique trailing comment: a source the
+/// process-wide module cache has never seen.
+std::string fresh_module_source(const std::string& tag) {
+  CompilerDriver driver;
+  CompilationPtr comp = driver.start(apps::app("SFW").source);
+  EXPECT_TRUE(driver.run_until(comp, Stage::Layout));
+  return emit_source(*comp, "SFW").text + "// " + tag + "\n";
+}
+
+TEST(NativeJit, LoadsWhenTmpdirHasQuoteAndSpace) {
+  const std::string dir = ::testing::TempDir() + "lucid it's " +
+                          std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0) << dir;
+  const char* old = std::getenv("TMPDIR");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("TMPDIR", dir.c_str(), 1);
+  std::string err;
+  const auto mod = Module::load(fresh_module_source(dir), &err);
+  if (old != nullptr) {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  EXPECT_NE(mod, nullptr) << err;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(NativeJit, CompileAndCacheMetrics) {
+  auto& reg = obs::Registry::global();
+  const auto& hist = reg.histogram("lucid_native_jit_compile_us");
+  const auto& hits = reg.counter("lucid_native_jit_cache_hits_total");
+  const auto& misses = reg.counter("lucid_native_jit_cache_misses_total");
+  const auto& failures = reg.counter("lucid_native_jit_failures_total");
+  const std::string source = fresh_module_source("metrics");
+
+  const auto count0 = hist.count();
+  const auto hits0 = hits.value();
+  const auto misses0 = misses.value();
+  std::string err;
+  const auto cold = Module::load(source, &err);
+  ASSERT_NE(cold, nullptr) << err;
+  EXPECT_EQ(misses.value(), misses0 + 1);
+  EXPECT_EQ(hist.count(), count0 + 1);
+  EXPECT_EQ(hits.value(), hits0);
+
+  const auto warm = Module::load(source, &err);
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(hits.value(), hits0 + 1);
+  EXPECT_EQ(misses.value(), misses0 + 1);
+  EXPECT_EQ(hist.count(), count0 + 1);
+
+  const auto failures0 = failures.value();
+  EXPECT_EQ(Module::load("not C++\n", &err), nullptr);
+  EXPECT_EQ(failures.value(), failures0 + 1);
+  EXPECT_NE(err.find("compile failed"), std::string::npos) << err;
 }
 
 }  // namespace
