@@ -8,7 +8,7 @@
 //   lucidc --stop-after=STAGE FILE    stop after parse|sema|lower|layout
 //   lucidc --time-passes FILE         print per-stage wall-clock timings
 //   lucidc --time-passes=json FILE    ... as one machine-readable JSON
-//                                     object (consumed by bench_layout/CI)
+//                                     object (consumed by CI)
 //   lucidc --sweep=GRID FILE          compile against a resource-model grid
 //                                     (e.g. --sweep=stages=8,12;salus=2,4),
 //                                     sharing one front-end run across all
@@ -27,18 +27,6 @@
 //                                     hardware concurrency)
 //   lucidc --backends=p4,interp ...   backends a --sweep emits (default:
 //                                     every registered text backend)
-//   lucidc --ctrl-demo FILE           deploy on one simulated switch and
-//                                     drive the runtime control plane:
-//                                     batched register installs applied at
-//                                     scheduler boundaries, then the
-//                                     install/apply statistics snapshot
-//                                     plus a metrics dump
-//   lucidc --native-demo FILE         JIT-compile the program and run a
-//                                     synthetic burst schedule on the
-//                                     sharded native data path; print
-//                                     per-shard and merged statistics
-//   lucidc --native-shards=N          shard count for --native-demo
-//                                     (default 1)
 //   lucidc --trace-out=FILE ...       record structured spans across the
 //                                     compiler/runtimes and write Chrome
 //                                     trace-event JSON (open in Perfetto)
@@ -46,11 +34,13 @@
 //   lucidc --metrics-out=FILE ...     write the process metrics snapshot on
 //                                     exit: Prometheus text exposition when
 //                                     FILE ends in .prom/.txt, JSON otherwise
+//   lucidc --ir / --layout FILE       dump the atomic table graphs / the
+//                                     merged pipeline
 //   lucidc --list-backends            list registered backends
 //   lucidc --version                  print the compiler version
 //
-// Legacy spellings are kept for one release: --p4 (= --emit=p4), --check
-// (= --stop-after=sema), --ir and --layout (stage dumps).
+// Running a compiled program on the control plane and the native engine is
+// examples/runtime_demo.cpp's job, not a lucidc mode.
 //
 // Exit status: 0 on success, 1 on compilation/input errors, 2 on usage
 // errors (unknown flag, missing file operand, unknown stage/backend/grid
@@ -62,15 +52,9 @@
 #include <string>
 #include <vector>
 
-#include <chrono>
-
 #include "core/backends.hpp"
 #include "core/cache.hpp"
 #include "core/sweep.hpp"
-#include "ctrl/interp_bridge.hpp"
-#include "interp/testbed.hpp"
-#include "native/differential.hpp"
-#include "native/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/strings.hpp"
@@ -106,15 +90,6 @@ void usage(std::ostream& os) {
         "                     any count)\n"
         "  --backends=LIST    backends a --sweep emits (default: p4,ebpf,"
         "interp)\n"
-        "  --ctrl-demo        deploy on one simulated switch, drive batched\n"
-        "                     control-plane installs, print the stats "
-        "snapshot\n"
-        "                     and a metrics dump\n"
-        "  --native-demo      JIT-compile the program and run a synthetic\n"
-        "                     burst schedule on the sharded native data "
-        "path;\n"
-        "                     print per-shard and merged statistics\n"
-        "  --native-shards=N  shard count for --native-demo (default 1)\n"
         "  --trace-out=FILE   record spans (compiler stages, sweep jobs,\n"
         "                     interp handlers) and write Chrome trace-event\n"
         "                     JSON on exit — load FILE in ui.perfetto.dev\n"
@@ -124,8 +99,6 @@ void usage(std::ostream& os) {
         "JSON)\n"
         "  --ir               dump the atomic table graphs\n"
         "  --layout           dump the merged pipeline\n"
-        "  --p4               alias for --emit=p4\n"
-        "  --check            alias for --stop-after=sema\n"
         "  --list-backends    list backends (name, required stage, "
         "description) and exit\n"
         "  --version          print version and exit\n"
@@ -145,7 +118,7 @@ std::string slurp(const std::string& path, bool& ok) {
 }
 
 /// Writes the observability outputs on scope exit, so every return path —
-/// success, compile error, even --ctrl-demo — flushes what was recorded.
+/// success or compile error — flushes what was recorded.
 /// (Usage errors return before this guard is armed: nothing ran.)
 struct ObsOutputs {
   std::string trace_path;
@@ -196,10 +169,6 @@ int main(int argc, char** argv) {
   std::string cache_dir;                          // --cache-dir=...
   int jobs = 0;                                   // --jobs=...
   int sema_workers = 1;                           // --sema-workers=...
-  bool ctrl_demo = false;                         // --ctrl-demo
-  bool native_demo = false;                       // --native-demo
-  int native_shards = 1;                          // --native-shards=...
-  bool native_shards_requested = false;
   std::string trace_out;                          // --trace-out=...
   int trace_sample = 1;                           // --trace-sample=...
   std::string metrics_out;                        // --metrics-out=...
@@ -301,18 +270,6 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
       sema_workers = *parsed;
-    } else if (arg == "--ctrl-demo") {
-      ctrl_demo = true;
-    } else if (arg == "--native-demo") {
-      native_demo = true;
-    } else if (lucid::starts_with(arg, "--native-shards=")) {
-      const auto parsed = lucid::parse_positive_int(arg.substr(16));
-      if (!parsed) {
-        std::cerr << "lucidc: --native-shards requires a positive integer\n";
-        return kExitUsage;
-      }
-      native_shards = *parsed;
-      native_shards_requested = true;
     } else if (lucid::starts_with(arg, "--trace-out=")) {
       trace_out = arg.substr(12);
       if (trace_out.empty()) {
@@ -332,11 +289,6 @@ int main(int argc, char** argv) {
         std::cerr << "lucidc: --metrics-out requires a file path\n";
         return kExitUsage;
       }
-    } else if (arg == "--p4") {
-      backend = "p4";
-    } else if (arg == "--check") {
-      stop_after = lucid::Stage::Sema;
-      stop_requested = true;
     } else if (arg == "--ir") {
       dump = "ir";
     } else if (arg == "--layout") {
@@ -361,27 +313,6 @@ int main(int argc, char** argv) {
 
   // Reject contradictory or unsatisfiable combinations up front (exit 2),
   // before any compilation work.
-  if (ctrl_demo &&
-      (sweep_requested || fit_requested || !backend.empty() ||
-       stop_requested || !dump.empty() || time_passes)) {
-    std::cerr << "lucidc: --ctrl-demo deploys and drives the program itself; "
-                 "it cannot be combined with --emit, --sweep, --fit, "
-                 "--stop-after, --ir, --layout, or --time-passes\n";
-    return kExitUsage;
-  }
-  if (native_demo &&
-      (sweep_requested || fit_requested || !backend.empty() ||
-       stop_requested || !dump.empty() || time_passes || ctrl_demo)) {
-    std::cerr << "lucidc: --native-demo compiles and runs the program "
-                 "itself; it cannot be combined with --emit, --sweep, "
-                 "--fit, --stop-after, --ir, --layout, --time-passes, or "
-                 "--ctrl-demo\n";
-    return kExitUsage;
-  }
-  if (native_shards_requested && !native_demo) {
-    std::cerr << "lucidc: --native-shards only applies to --native-demo\n";
-    return kExitUsage;
-  }
   if (sweep_requested && fit_requested) {
     std::cerr << "lucidc: --sweep and --fit are different drivers; pick "
                  "one\n";
@@ -500,7 +431,7 @@ int main(int argc, char** argv) {
 
   // Observability: arm recording before any compilation work; the guard's
   // destructor writes the outputs on every return path below. --trace-out
-  // and --metrics-out compose with every mode (including --ctrl-demo).
+  // and --metrics-out compose with every mode.
   ObsOutputs obs_outputs;
   obs_outputs.trace_path = trace_out;
   obs_outputs.metrics_path = metrics_out;
@@ -508,115 +439,6 @@ int main(int argc, char** argv) {
     lucid::obs::TracerConfig tcfg;
     tcfg.sample_every = static_cast<std::uint32_t>(trace_sample);
     lucid::obs::Tracer::global().enable(tcfg);
-  }
-
-  // Control-plane demo: deploy on one simulated switch, install a batch of
-  // registers per declared array through the async update queue, and show
-  // the apply statistics. Batches drain at scheduler boundaries (the
-  // periodic control tick here — no traffic is running).
-  if (ctrl_demo) {
-    lucid::interp::TestbedConfig tb_cfg;
-    tb_cfg.program_name = path;
-    lucid::interp::Testbed tb(source, tb_cfg);
-    if (!tb.ok()) {
-      std::cerr << tb.diagnostics();
-      return kExitError;
-    }
-    lucid::ctrl::RuntimeControl rc(tb.node(1));
-    const auto& arrays = tb.compilation().ir().arrays;
-    if (arrays.empty()) {
-      std::cerr << "lucidc: --ctrl-demo: '" << path
-                << "' declares no arrays to install into\n";
-      return kExitError;
-    }
-    std::cout << path << ": control-plane demo on 1 switch\n";
-    for (const auto& a : arrays) {
-      lucid::ctrl::UpdateBatch batch;
-      const std::int64_t n = std::min<std::int64_t>(a.size, 256);
-      for (std::int64_t i = 0; i < n; ++i) {
-        batch.writes.push_back(lucid::ctrl::RegWrite{a.name, i, i});
-      }
-      batch.reads.push_back(lucid::ctrl::RegRead{a.name, 0});
-      rc.plane().submit(std::move(batch));
-      std::cout << "  queued batch: " << n << " installs into '" << a.name
-                << "' (Array<<" << a.width << ">>(" << a.size << "))\n";
-    }
-    const std::size_t queued = rc.plane().pending();
-    tb.settle(lucid::sim::kMs);
-    const lucid::ctrl::ControlPlaneStats s = rc.plane().snapshot();
-    std::cout << "  queue depth       : " << queued << " -> " << s.queue_depth
-              << "\n"
-              << "  batches applied   : " << s.batches_applied << "\n"
-              << "  registers written : " << s.writes_applied << "\n"
-              << "  reads served      : " << s.reads_served << "\n"
-              << "  apply points      : " << s.apply_points << "\n"
-              << "  apply latency     : mean " << s.apply_latency_mean_ns
-              << " ns, max " << s.apply_latency_max_ns << " ns\n"
-              << "  update path busy  : " << s.update_path_busy_ns << " ns ("
-              << static_cast<long long>(s.modeled_installs_per_sec)
-              << " installs/s modeled)\n";
-    // The same run seen through the shared observability layer (the exact
-    // stats above come from the plane's own samples; these aggregates are
-    // what --metrics-out would export).
-    std::cout << "  metrics snapshot (Prometheus text format):\n"
-              << lucid::indent(lucid::obs::Registry::global().prometheus(),
-                               4);
-    return s.batches_applied == arrays.size() && s.queue_depth == 0
-               ? kExitOk
-               : kExitError;
-  }
-
-  // Native-engine demo: JIT-compile the program, shard a synthetic burst
-  // schedule across a ReplicaFleet by the stable flow hash, and run it to
-  // the horizon on one worker thread per shard.
-  if (native_demo) {
-    lucid::interp::TestbedConfig tb_cfg;
-    tb_cfg.program_name = path;
-    lucid::interp::Testbed tb(source, tb_cfg);
-    if (!tb.ok()) {
-      std::cerr << tb.diagnostics();
-      return kExitError;
-    }
-    std::string err;
-    const auto prog =
-        lucid::native::Program::build(tb.compilation_ptr(), &err);
-    if (prog == nullptr) {
-      std::cerr << "lucidc: --native-demo: " << err << "\n";
-      return kExitError;
-    }
-    lucid::native::FleetConfig fcfg;
-    fcfg.shards = native_shards;
-    lucid::native::ReplicaFleet fleet(prog, fcfg);
-    const lucid::native::diff::Schedule sched =
-        lucid::native::diff::make_burst_schedule(prog->ir(), 7, 200, 32);
-    for (const auto& e : sched.entries) {
-      fleet.schedule_inject(e.t, e.event, e.args);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    fleet.run_until(sched.horizon);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const auto merged = fleet.merged_stats();
-    const auto runs = fleet.merged_run_stats();
-    std::cout << path << ": native demo, " << fleet.shards()
-              << " shard(s)\n";
-    for (int s = 0; s < fleet.shards(); ++s) {
-      std::cout << "  shard " << s << "          : "
-                << fleet.shard(static_cast<std::size_t>(s)).stats().executed
-                << " packets executed\n";
-    }
-    std::cout << "  injections       : " << sched.entries.size() << "\n"
-              << "  executed (merged): " << merged.executed << "\n"
-              << "  handler runs     : " << runs.total_executions << " ("
-              << merged.recirculations << " recirculations)\n"
-              << "  event-loop rate  : "
-              << static_cast<long long>(
-                     wall_s > 0 ? static_cast<double>(merged.executed) /
-                                      wall_s
-                                : 0.0)
-              << " packets/s\n";
-    return merged.executed > 0 ? kExitOk : kExitError;
   }
 
   lucid::DriverOptions opts;

@@ -5,9 +5,11 @@ Usage:
     tools/bench_compare.py PREVIOUS.json CURRENT.json [--fail-on-regression]
 
 Both files are the artifact perf-smoke merges from the per-bench
-BENCH_*.json documents: {"bench_layout": {...}, "bench_native": {...}, ...}.
+BENCH_*.json documents: {"bench_frontend": {...}, "bench_native": {...}, ...}.
 Every numeric leaf shared by both files is compared; a metric whose relative
-change exceeds its threshold is reported.
+change exceeds its threshold is reported. Metrics of benches that were folded
+into another are read under their new path (RENAMED_BENCHES), so a summary
+from before the fold still lines up.
 
 Thresholds are per-metric-kind, not global: wall-clock and throughput
 numbers (``*_ms``, ``*_s``, ``*_pps``, ``*speedup*``, ...) jitter hard on
@@ -50,6 +52,12 @@ NOISY_MARKERS = (
 )
 
 NOISY_THRESHOLD = 0.50
+
+# Folded benches: old top-level bench name -> its section in the merged one.
+RENAMED_BENCHES = {
+    "bench_layout": "bench_frontend.layout",
+    "bench_incremental": "bench_frontend.incremental",
+}
 STRICT_THRESHOLD = 0.25
 
 
@@ -64,6 +72,16 @@ def flatten(doc, prefix=""):
             out.update(flatten(value, f"{prefix}{index}."))
     elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
         out[prefix[:-1]] = float(doc)
+    return out
+
+
+def renamed(metrics):
+    out = {}
+    for key, value in metrics.items():
+        bench, _, rest = key.partition(".")
+        if bench in RENAMED_BENCHES:
+            key = f"{RENAMED_BENCHES[bench]}.{rest}"
+        out[key] = value
     return out
 
 
@@ -102,8 +120,8 @@ def main():
     )
     args = parser.parse_args()
 
-    prev = flatten(load_summary(args.previous))
-    cur = flatten(load_summary(args.current))
+    prev = renamed(flatten(load_summary(args.previous)))
+    cur = renamed(flatten(load_summary(args.current)))
     if not prev or not cur:
         print("ERROR: no numeric metrics found to compare", file=sys.stderr)
         sys.exit(2)
