@@ -10,13 +10,13 @@
 //    speedup only counts if the runs are indistinguishable, so every row
 //    re-checks the differential-state contract: byte-identical register
 //    state plus every shared counter. The batch column is the module's raw
-//    entry point (native::measure_raw_batch_pps) — the ceiling once the
+//    batch loop (native::measure_raw_batch_pps) — the ceiling once the
 //    event-loop bookkeeping is amortized away.
 //
 // 2. Observability overhead. The same synthetic batches through the
 //    instrumented Module::run_batch with tracing compiled in but disabled
 //    (obs-off, the shipping configuration) and with tracing enabled at 1/256
-//    sampling (obs-256), against the raw entry point. Modes are interleaved
+//    sampling (obs-256), against the raw batch loop. Modes are interleaved
 //    per rep and best-of kept, so machine drift hits all three alike.
 //
 // 3. Scaling. A burst schedule on SFW, partitioned by a ReplicaFleet at

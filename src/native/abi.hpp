@@ -1,28 +1,35 @@
-// The binary interface between the host process and a JIT-compiled native
-// pipeline module (src/native/jit.cpp loads one per program).
+// The binary interface between the host process and JIT-compiled native
+// pipeline code (src/native/jit.cpp loads it).
 //
-// A module is self-contained generated C++ (src/native/emit.cpp) compiled to
-// a shared object (linked -nostdlib: it calls no library function) and
-// dlopen'd into the process. It exports three C symbols:
+// A module's text (src/native/emit.cpp) is a program-independent prelude
+// plus one *unit* per handled event, each opened by a fixed marker line. The
+// JIT compiles the prelude followed by the units it has not seen before into
+// one shared object (linked -nostdlib: it calls no library function) and
+// dlopens it, so one module's units may live in several objects. Every
+// object exports
 //
-//   lucid_native_abi_version()  -> kAbiVersion (checked at load)
-//   lucid_native_max_gens()     -> max generate records one packet can emit
-//   lucid_native_run_batch(arrays, in, n, out, cnts) -> per-packet gen counts
+//   lucid_native_abi_version()      -> kAbiVersion (checked at load)
 //
-// A one-packet call is a batch of one (Module::run_one).
+// and one entry point per unit it holds,
+//
+//   lucid_event_<id>(arrays, in, out) -> generate records written to out
+//
+// There is no batch entry point: the host keeps a dense event-id -> entry
+// table per module and loops over a batch itself (Module::run_batch).
 //
 // `arrays` is one raw cell pointer per register array, in IR declaration
 // order (ir::ProgramIR::arrays). The module owns all semantics — width
 // masking, index clamping, memop evaluation — so the host just hands over
 // storage. The struct definitions below are mirrored *textually* into every
-// generated module; bump kAbiVersion whenever their layout changes.
+// prelude; bump kAbiVersion whenever their layout or the entry signature
+// changes.
 #pragma once
 
 #include <cstdint>
 
 namespace lucid::native {
 
-inline constexpr std::uint32_t kAbiVersion = 2;
+inline constexpr std::uint32_t kAbiVersion = 3;
 
 /// Fixed argument capacity: the backend refuses programs whose events carry
 /// more parameters (the paper apps top out at 5).
@@ -52,13 +59,12 @@ struct GenOut {
 };
 
 using AbiVersionFn = std::uint32_t (*)();
-using MaxGensFn = std::int32_t (*)();
-using RunBatchFn = void (*)(std::int64_t* const* arrays, const PacketIn* in,
-                            std::int32_t n, GenOut* out,
-                            std::int32_t* gen_counts);
+/// One packet through one handler; returns the GenOut records written.
+using EventFn = std::int32_t (*)(std::int64_t* const* arrays,
+                                 const PacketIn* in, GenOut* out);
 
 inline constexpr const char* kSymAbiVersion = "lucid_native_abi_version";
-inline constexpr const char* kSymMaxGens = "lucid_native_max_gens";
-inline constexpr const char* kSymRunBatch = "lucid_native_run_batch";
+/// Followed by the decimal event id.
+inline constexpr const char* kSymEventPrefix = "lucid_event_";
 
 }  // namespace lucid::native

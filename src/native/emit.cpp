@@ -1,4 +1,4 @@
-// Emits a native pipeline module: one C++ translation unit per program.
+// Emits a native pipeline module: C++ text cut into per-handler units.
 //
 // Semantics contract: generated code must leave register state byte-identical
 // to interp::Runtime for any event sequence (the differential suite in
@@ -20,32 +20,42 @@
 //     lockstep with support::fnv1a_word;
 //   - generated-event args mask to the event's param widths (EventCtor).
 //
-// Module shape (ABI v2, src/native/abi.hpp): one lucid_event_<id> function
-// per event that owns tables, and lucid_native_run_batch dispatching each
-// packet with one switch on its event id. Every table belongs to exactly one
-// handler (the eBPF emitter's table_condition starts with the event-id test),
-// so a handler's function holds its tables in the (stage, table, member)
-// order the layout placed them, and a packet runs the same statements in the
-// same order as a stage-major walk with per-table event-id tests would. Each
-// function zeroes a fresh Ctx (locals + params), loads the params, and runs
-// the tables; a generate table writes its GenOut record where it runs, so
-// records leave in site order == the order the interpreter's handler body
-// reached each generate.
+// Module shape (ABI v3, src/native/abi.hpp): a prelude — the ABI structs,
+// lucid_mask, lucid_fnv1a_word and the version symbol, the same for every
+// program but for its first comment line — then one unit per event that
+// owns tables. A unit is a fixed marker line (kUnitMarker), a header line
+// giving its event id and generate-site count, and one extern "C"
+// lucid_event_<id> function with its own Ctx holding only that handler's
+// locals and params. Nothing in a unit depends on another handler, so an
+// edit to one handler changes that handler's unit text and no other; the
+// JIT caches units by the hash of prelude + unit text and recompiles only
+// the changed ones. split_units, below, is the one reader of this format.
 //
-// Batch equivalence: run_batch runs packets in order, each straight through
-// its handler, so a one-packet batch is the single-packet call
-// (Module::run_one) and state equivalence is trivial. A stage-major walk
-// over the batch (PISA's stage parallelism in software) would also preserve
-// per-array access order — the layout pins every register array to one stage
-// (opt::Pipeline::array_stage) and a packet makes at most one sALU visit per
-// array per pass — but it round-trips every packet's Ctx through a scratch
-// slab between stages, which measures slower at event-loop drain sizes.
+// Every table belongs to exactly one handler (the eBPF emitter's
+// table_condition starts with the event-id test), so a handler's function
+// holds its tables in the (stage, table, member) order the layout placed
+// them, and a packet runs the same statements in the same order as a
+// stage-major walk with per-table event-id tests would. Each function zeroes
+// a fresh Ctx, loads the params, and runs the tables; a generate table
+// writes its GenOut record where it runs, so records leave in site order ==
+// the order the interpreter's handler body reached each generate.
+//
+// Batch equivalence: the host (Module::run_batch) runs packets in order,
+// each straight through its handler's entry, so a one-packet batch is the
+// single-packet call (Module::run_one) and state equivalence is trivial. A
+// stage-major walk over the batch (PISA's stage parallelism in software)
+// would also preserve per-array access order — the layout pins every
+// register array to one stage (opt::Pipeline::array_stage) and a packet
+// makes at most one sALU visit per array per pass — but it round-trips
+// every packet's Ctx through a scratch slab between stages, which measures
+// slower at event-loop drain sizes.
 //
 // The module calls no library function and is linked -nostdlib
 // (src/native/jit.cpp).
 #include "native/emit.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <set>
@@ -63,6 +73,10 @@ using ir::AtomicTable;
 using ir::MemKind;
 using ir::Operand;
 using ir::TableKind;
+
+/// Opens every unit; the line after it is the unit's header,
+/// "// event <id> gens <n>: <name>". split_units is the only reader.
+constexpr std::string_view kUnitMarker = "//@@ lucid native unit @@";
 
 std::string sanitize(std::string name) {
   for (auto& c : name) {
@@ -169,11 +183,8 @@ class Emitter {
       : ir_(ir), pipeline_(pipeline), name_(name) {}
 
   EmittedModule run() {
-    collect_vars();
-    preamble();
-    ctx_struct();
-    event_fns();
-    entry_points();
+    prelude();
+    units();
     EmittedModule m;
     m.text = std::move(out_);
     m.gen_sites = gen_sites_;
@@ -192,55 +203,51 @@ class Emitter {
 
   // ---- variable collection (same walk as the eBPF emitter) ----------------
 
-  void note_var(const Operand& o) {
-    if (o.is_var()) vars_.insert(o.var);
-  }
-
-  void collect_vars() {
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* member : mt.members) {
-          const AtomicTable& t = *member;
-          switch (t.kind) {
-            case TableKind::Op:
-              vars_.insert(t.op.dst);
-              note_var(t.op.lhs);
-              note_var(t.op.rhs);
-              break;
-            case TableKind::Mem:
-              if (!t.mem.dst.empty()) vars_.insert(t.mem.dst);
-              note_var(t.mem.index);
-              note_var(t.mem.get_arg);
-              note_var(t.mem.set_arg);
-              note_var(t.mem.set_value);
-              break;
-            case TableKind::Hash:
-              vars_.insert(t.hash.dst);
-              for (const auto& a : t.hash.args) note_var(a);
-              break;
-            case TableKind::Generate:
-              ++gen_sites_;
-              for (const auto& a : t.gen.args) note_var(a);
-              note_var(t.gen.delay);
-              note_var(t.gen.location);
-              break;
-            case TableKind::Branch:
-              break;
-          }
-          for (const auto& conj : t.guards) {
-            for (const auto& test : conj) vars_.insert(test.var);
-          }
-        }
+  /// One handler's Ctx fields: every variable its tables touch, its event's
+  /// params, and the two builtins.
+  static std::set<std::string> unit_vars(
+      const ir::EventInfo& ev, const std::vector<const AtomicTable*>& tables) {
+    std::set<std::string> vars;
+    auto note = [&vars](const Operand& o) {
+      if (o.is_var()) vars.insert(o.var);
+    };
+    for (const AtomicTable* t : tables) {
+      switch (t->kind) {
+        case TableKind::Op:
+          vars.insert(t->op.dst);
+          note(t->op.lhs);
+          note(t->op.rhs);
+          break;
+        case TableKind::Mem:
+          if (!t->mem.dst.empty()) vars.insert(t->mem.dst);
+          note(t->mem.index);
+          note(t->mem.get_arg);
+          note(t->mem.set_arg);
+          note(t->mem.set_value);
+          break;
+        case TableKind::Hash:
+          vars.insert(t->hash.dst);
+          for (const auto& a : t->hash.args) note(a);
+          break;
+        case TableKind::Generate:
+          for (const auto& a : t->gen.args) note(a);
+          note(t->gen.delay);
+          note(t->gen.location);
+          break;
+        case TableKind::Branch:
+          break;
+      }
+      for (const auto& conj : t->guards) {
+        for (const auto& test : conj) vars.insert(test.var);
       }
     }
-    for (const auto& ev : ir_.events) {
-      for (const auto& [pname, pwidth] : ev.params) {
-        (void)pwidth;
-        vars_.insert(pname);
-      }
+    for (const auto& [pname, pwidth] : ev.params) {
+      (void)pwidth;
+      vars.insert(pname);
     }
-    vars_.insert("__self");
-    vars_.insert("__ts");
+    vars.insert("__self");
+    vars.insert("__ts");
+    return vars;
   }
 
   int array_slot(const std::string& name) const {
@@ -257,7 +264,10 @@ class Emitter {
 
   // ---- sections -----------------------------------------------------------
 
-  void preamble() {
+  /// The program-independent head of every translation unit the JIT
+  /// builds: types, the ABI structs, the two helpers, and the version
+  /// symbol. Only its first comment line names the program.
+  void prelude() {
     line("// " + std::string(name_) +
          " — generated by the Lucid compiler (native backend)");
     line("// Self-contained: compiled by the in-process JIT "
@@ -303,22 +313,16 @@ class Emitter {
     line("  return h;");
     line("}");
     blank();
-  }
-
-  void ctx_struct() {
-    line("// Handler locals + event params; zero-init per packet matches");
-    line("// interpreter Frame defaults. All fields are i64 (Value).");
-    line("struct Ctx {");
-    for (const auto& name : vars_) {
-      line("  i64 " + sanitize(name) + ";");
-    }
-    line("};");
+    line("}  // namespace");
+    blank();
+    line("extern \"C\" u32 " + std::string(kSymAbiVersion) + "() { return " +
+         std::to_string(kAbiVersion) + "; }");
     blank();
   }
 
   /// The guard disjunction of `t`, or "" when the table is unguarded. The
-  /// event-id half of the eBPF emitter's table_condition is the dispatch
-  /// switch in lucid_native_run_batch: each table sits in its handler's
+  /// event-id half of the eBPF emitter's table_condition is the host's
+  /// dispatch table (Module::run_batch): each table sits in its handler's
   /// lucid_event_<id> function.
   std::string table_condition(const AtomicTable& t) const {
     std::string dis;
@@ -497,11 +501,13 @@ class Emitter {
     }
   }
 
-  /// One function per event that owns tables, on a fresh zeroed Ctx: the
-  /// params masked to their declared widths (Runtime::execute), then the
-  /// handler's tables in (stage, table, member) order. Returns the number
-  /// of GenOut records written.
-  void event_fns() {
+  /// One unit per event that owns tables: the marker line, the header the
+  /// splitter parses, and one extern "C" function on a fresh zeroed Ctx
+  /// holding only this handler's locals and params — the params masked to
+  /// their declared widths (Runtime::execute), then the handler's tables in
+  /// (stage, table, member) order. The function returns the number of
+  /// GenOut records written.
+  void units() {
     std::map<std::string, std::vector<const AtomicTable*>> by_handler;
     for (const auto& stage : pipeline_.stages) {
       for (const auto& mt : stage.tables) {
@@ -513,10 +519,25 @@ class Emitter {
     for (const auto& ev : ir_.events) {
       const auto it = by_handler.find(ev.name);
       if (it == by_handler.end()) continue;
-      events_.push_back(&ev);
-      line("inline i32 lucid_event_" + std::to_string(ev.event_id) +
-           "(i64* const* R, const PacketIn& in, GenOut* out) {  // " +
+      const auto gens = std::count_if(
+          it->second.begin(), it->second.end(), [](const AtomicTable* t) {
+            return t->kind == TableKind::Generate;
+          });
+      gen_sites_ += static_cast<int>(gens);
+      const std::string id = std::to_string(ev.event_id);
+      line(std::string(kUnitMarker));
+      line("// event " + id + " gens " + std::to_string(gens) + ": " +
            ev.name);
+      line("extern \"C\" i32 " + std::string(kSymEventPrefix) + id +
+           "(i64* const* R, const PacketIn* pkt, GenOut* out) {");
+      line("  // Handler locals + event params; zero-init per packet matches");
+      line("  // interpreter Frame defaults. All fields are i64 (Value).");
+      line("  struct Ctx {");
+      for (const auto& name : unit_vars(ev, it->second)) {
+        line("    i64 " + sanitize(name) + ";");
+      }
+      line("  };");
+      line("  const PacketIn& in = *pkt;");
       line("  Ctx m{};");
       line("  m.__self = in.self_id;");
       line("  m.__ts = lucid_mask(in.now_ns, 32);");
@@ -547,41 +568,12 @@ class Emitter {
     }
   }
 
-  void entry_points() {
-    line("}  // namespace");
-    blank();
-    line("extern \"C\" u32 lucid_native_abi_version() { return " +
-         std::to_string(kAbiVersion) + "; }");
-    line("extern \"C\" i32 lucid_native_max_gens() { return " +
-         std::to_string(gen_sites_) + "; }");
-    blank();
-    line("// Packets run in order, each straight through its handler; see");
-    line("// src/native/emit.cpp for why not stage-major.");
-    line("extern \"C\" void lucid_native_run_batch(i64* const* R, "
-         "const PacketIn* in, i32 n, GenOut* out, i32* gen_counts) {");
-    line("  for (i32 i = 0; i < n; ++i) {");
-    line("    GenOut* o = out + (i64)i * " +
-         std::to_string(std::max(gen_sites_, 1)) + ";");
-    line("    switch (in[i].event_id) {");
-    for (const ir::EventInfo* ev : events_) {
-      const std::string id = std::to_string(ev->event_id);
-      line("      case " + id + ": gen_counts[i] = lucid_event_" + id +
-           "(R, in[i], o); break;");
-    }
-    line("      default: gen_counts[i] = 0; break;");
-    line("    }");
-    line("  }");
-    line("}");
-  }
-
   const ir::ProgramIR& ir_;
   const opt::Pipeline& pipeline_;
   std::string_view name_;
   std::string out_;
   int loc_ = 0;
-  std::set<std::string> vars_;
   int gen_sites_ = 0;
-  std::vector<const ir::EventInfo*> events_;  // those with a lucid_event_ fn
 };
 
 }  // namespace
@@ -590,6 +582,38 @@ EmittedModule emit_source(const Compilation& comp,
                           std::string_view program_name) {
   Emitter e(comp.ir(), comp.pipeline(), program_name);
   return e.run();
+}
+
+ModuleUnits split_units(std::string_view text) {
+  std::vector<std::size_t> starts;  // offsets of whole-line markers
+  for (std::size_t pos = text.find(kUnitMarker); pos != std::string_view::npos;
+       pos = text.find(kUnitMarker, pos + 1)) {
+    const std::size_t end = pos + kUnitMarker.size();
+    if ((pos == 0 || text[pos - 1] == '\n') &&
+        (end == text.size() || text[end] == '\n')) {
+      starts.push_back(pos);
+    }
+  }
+  ModuleUnits split;
+  split.prelude = text.substr(0, starts.empty() ? text.size() : starts[0]);
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    const std::size_t next =
+        k + 1 < starts.size() ? starts[k + 1] : text.size();
+    ModuleUnit unit;
+    unit.text = text.substr(starts[k], next - starts[k]);
+    const std::size_t header = kUnitMarker.size() + 1;
+    if (header < unit.text.size()) {
+      const std::string line(unit.text.substr(
+          header, unit.text.find('\n', header) - header));
+      if (std::sscanf(line.c_str(), "// event %d gens %d", &unit.event_id,
+                      &unit.gen_sites) != 2 ||
+          unit.gen_sites < 0) {
+        unit.event_id = -1;
+      }
+    }
+    split.units.push_back(unit);
+  }
+  return split;
 }
 
 }  // namespace lucid::native

@@ -105,7 +105,13 @@ double measure_batch_pps(const ir::ProgramIR& ir, const Module& mod,
 
 double measure_raw_batch_pps(const ir::ProgramIR& ir, const Module& mod,
                              double budget_s) {
-  return measure_batch_pps(ir, mod, mod.raw_run_batch(), budget_s);
+  return measure_batch_pps(
+      ir, mod,
+      [&mod](std::int64_t* const* arrays, const PacketIn* in, std::int32_t n,
+             GenOut* out, std::int32_t* gen_counts) {
+        mod.run_batch_raw(arrays, in, n, out, gen_counts);
+      },
+      budget_s);
 }
 
 std::shared_ptr<const Program> Program::build(ConstCompilationPtr comp,
@@ -274,7 +280,6 @@ Replica::Replica(std::shared_ptr<const Program> prog, ReplicaConfig cfg)
   recirc_ = RPort{cfg_.switch_cfg.recirc_rate_gbps,
                   cfg_.switch_cfg.recirc_latency_ns, 0, 0, 0};
   front_ = RPort{cfg_.switch_cfg.front_rate_gbps, 0, 0, 0, 0};
-  run_batch_fn_ = prog_->module().raw_run_batch();
   gen_stride_ = std::max<std::int32_t>(prog_->module().max_gens(), 1);
   if (cfg_.shard_id >= 0) {
     const obs::Labels labels{{"shard", std::to_string(cfg_.shard_id)}};
@@ -648,12 +653,12 @@ void Replica::flush_exec_batch() {
   if (batch_counts_.size() < static_cast<std::size_t>(n)) {
     batch_counts_.resize(static_cast<std::size_t>(n));
   }
-  // The raw entry point: packets in order, each straight through its
-  // handler (emit.cpp), so state is byte-identical to sequential one-packet
+  // The raw batch loop: packets in order, each straight through its
+  // handler's entry, so state is byte-identical to sequential one-packet
   // calls — the contract NativeBatchApps.BatchMatchesSequentialRunOne pins
   // on every app (tests/test_native.cpp).
-  run_batch_fn_(array_ptrs_.data(), batch_in_.data(), n, batch_out_.data(),
-                batch_counts_.data());
+  prog_->module().run_batch_raw(array_ptrs_.data(), batch_in_.data(), n,
+                                batch_out_.data(), batch_counts_.data());
   // Generated events dispatch per packet, in packet order — the same
   // interleaving the sequential loop produces (packet i's generates all
   // precede packet i+1's).

@@ -73,9 +73,8 @@ class Program {
   EmittedModule emitted_;
 };
 
-/// One batch call in the generated run_batch signature (RunBatchFn), e.g.
-/// the raw entry point or a wrapper around the instrumented
-/// Module::run_batch.
+/// One batch call in the Module::run_batch signature, e.g. a wrapper around
+/// the raw or the instrumented batch loop.
 using BatchCall =
     std::function<void(std::int64_t* const*, const PacketIn*, std::int32_t,
                        GenOut*, std::int32_t*)>;
@@ -88,8 +87,8 @@ using BatchCall =
                                        const BatchCall& call,
                                        double budget_s);
 
-/// measure_batch_pps on the module's raw (uninstrumented) run_batch. Used by
-/// bench_native and bench_e2e's kernel layer.
+/// measure_batch_pps on the module's raw (uninstrumented) batch loop. Used
+/// by bench_native and bench_e2e's kernel layer.
 [[nodiscard]] double measure_raw_batch_pps(const ir::ProgramIR& ir,
                                            const Module& mod,
                                            double budget_s = 0.005);
@@ -338,12 +337,10 @@ class Replica {
 
   // Drain scratch: the executing subset of a drain as ABI PacketIn
   // records, and the module's per-packet outputs. Reused across drains; no
-  // per-drain allocation once warm. run_batch_fn_ is the module's raw entry
-  // point, resolved once.
+  // per-drain allocation once warm.
   std::vector<PacketIn> batch_in_;
   std::vector<GenOut> batch_out_;
   std::vector<std::int32_t> batch_counts_;
-  RunBatchFn run_batch_fn_ = nullptr;
   std::int32_t gen_stride_ = 1;  // GenOut records per packet in batch_out_
 
   RPort recirc_;

@@ -32,10 +32,16 @@ class Port {
     next_free_ = start + std::max<sim::Time>(ser, 1);
     stats_.packets += 1;
     stats_.wire_bytes += static_cast<std::uint64_t>(p.wire_bytes());
-    sim_.at(next_free_ + latency_,
-            [deliver = std::move(deliver), p = std::move(p)]() mutable {
-              deliver(std::move(p));
-            });
+    // PFC frames are the switch's daemon stream (Switch::pfc_tick).
+    const bool daemon = p.is_pfc;
+    auto cb = [deliver = std::move(deliver), p = std::move(p)]() mutable {
+      deliver(std::move(p));
+    };
+    if (daemon) {
+      sim_.daemon_at(next_free_ + latency_, std::move(cb));
+    } else {
+      sim_.at(next_free_ + latency_, std::move(cb));
+    }
   }
 
   /// Instantaneous backlog: ns until the port would be free.

@@ -118,6 +118,7 @@ void Switch::set_delay_queue_open(bool open) {
     Packet p = std::move(delay_queue_.front());
     delay_queue_.pop_front();
     m_queue_depth_->sub(1);
+    sim_.release();
     recirculate(std::move(p));
   }
 }
@@ -130,20 +131,22 @@ void Switch::start_pfc_stream(sim::Time interval, sim::Time window) {
 
 void Switch::pfc_tick(sim::Time interval, sim::Time window) {
   if (!pfc_running_) return;
+  // The stream re-arms itself forever, so all of it is daemon work (its
+  // frames too, in Port::send): it never keeps Simulator::run going.
   // The pair of PFC frames consumes recirculation bandwidth; model them as
   // two minimum-size frames through the port with no delivery.
   Packet unpause;
   unpause.is_pfc = true;
   unpause.pfc_pause = false;
   recirc_port_.send(unpause, [this](Packet) { set_delay_queue_open(true); });
-  sim_.after(window, [this] {
+  sim_.daemon_after(window, [this] {
     Packet pause;
     pause.is_pfc = true;
     pause.pfc_pause = true;
     recirc_port_.send(pause,
                       [this](Packet) { set_delay_queue_open(false); });
   });
-  sim_.after(interval, [this, interval, window] {
+  sim_.daemon_after(interval, [this, interval, window] {
     pfc_tick(interval, window);
   });
 }

@@ -86,9 +86,12 @@ class Switch {
                  const std::function<void(std::int64_t, Packet)>& each);
 
   // ---- pausable delay queue (traffic manager + PFC) -------------------------
+  /// A parked packet holds the simulator (Simulator::hold): only the
+  /// daemon PFC stream releases it.
   void delay_enqueue(Packet p) {
     delay_queue_.push_back(std::move(p));
     m_queue_depth_->add(1);
+    sim_.hold();
   }
   [[nodiscard]] bool delay_queue_open() const { return delay_open_; }
   [[nodiscard]] std::size_t delay_queue_depth() const {

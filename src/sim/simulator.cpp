@@ -4,9 +4,10 @@
 
 namespace lucid::sim {
 
-void Simulator::at(Time t, Callback cb) {
+void Simulator::push(Time t, Callback cb, bool daemon) {
   if (t < now_) t = now_;
-  queue_.push(Entry{t, seq_++, std::move(cb)});
+  if (!daemon) ++live_;
+  queue_.push(Entry{t, seq_++, daemon, std::move(cb)});
 }
 
 bool Simulator::step() {
@@ -15,6 +16,7 @@ bool Simulator::step() {
   // a copy of the entry before pop.
   Entry e = queue_.top();
   queue_.pop();
+  if (!e.daemon) --live_;
   now_ = e.t;
   e.cb();
   return true;
@@ -27,10 +29,12 @@ void Simulator::run_until(Time t) {
   if (now_ < t) now_ = t;
 }
 
-void Simulator::run(std::uint64_t max_events) {
-  for (std::uint64_t i = 0; i < max_events; ++i) {
-    if (!step()) return;
+bool Simulator::run(std::uint64_t max_events) {
+  for (std::uint64_t i = 0; live_ + held_ > 0; ++i) {
+    if (i == max_events) return false;
+    if (!step()) break;
   }
+  return true;
 }
 
 }  // namespace lucid::sim

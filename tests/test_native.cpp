@@ -8,7 +8,10 @@
 // randomized traffic, pin run_batch against one-packet calls on every app,
 // pin the coupled Runtime inside a real multi-node fabric, and pin the
 // control-plane adapter (ctrl::NativeDataPlane) against the interp one. The
-// JIT tests pin the shell-free compile and its registry metrics.
+// JIT tests pin the shell-free compile, its registry metrics, an empty
+// $TMPDIR afterwards, one compile for concurrent loads of one source, and
+// the incremental contract: a one-handler edit changes one unit's text and
+// compiles one unit.
 //
 // The sharded fleet extends the contract per shard (see tests/README.md):
 // each ReplicaFleet shard must be byte-identical to a single-threaded
@@ -24,6 +27,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -607,44 +611,86 @@ TEST(NativeBackend, RegisteredAndEmits) {
   EXPECT_TRUE(art.ok) << comp->diags().render();
   EXPECT_GT(art.metrics.at("loc"), 0);
   EXPECT_GT(art.metrics.at("stages"), 0);
-  // The generated module carries the three ABI v2 entry points, and not
-  // v1's lucid_native_run_one.
-  for (const char* sym :
-       {kSymAbiVersion, kSymMaxGens, kSymRunBatch}) {
-    EXPECT_NE(art.text.find(std::string(sym) + "("), std::string::npos)
-        << sym;
+  // The generated module carries the ABI v3 symbols: the version and one
+  // lucid_event_<id> entry per handled event, each in its own unit. v2's
+  // batch entry and max-gens symbol and v1's run_one are gone.
+  EXPECT_NE(art.text.find(std::string(kSymAbiVersion) + "("),
+            std::string::npos);
+  const ModuleUnits split = split_units(art.text);
+  std::size_t handled = 0;
+  for (const auto& ev : comp->ir().events) handled += ev.has_handler ? 1 : 0;
+  EXPECT_EQ(split.units.size(), handled);
+  for (const ModuleUnit& unit : split.units) {
+    ASSERT_GE(unit.event_id, 0);
+    const std::string entry =
+        kSymEventPrefix + std::to_string(unit.event_id) + "(";
+    EXPECT_NE(unit.text.find(entry), std::string::npos) << entry;
   }
-  EXPECT_EQ(art.text.find("lucid_native_run_one"), std::string::npos);
+  for (const char* gone : {"lucid_native_run_batch", "lucid_native_max_gens",
+                           "lucid_native_run_one"}) {
+    EXPECT_EQ(art.text.find(gone), std::string::npos) << gone;
+  }
 }
 
 // ---------------------------------------------------------------------------
 // JIT: no shell, and the registry sees every compile
 // ---------------------------------------------------------------------------
 
-/// SFW's module text plus a unique trailing comment: a source the
-/// process-wide module cache has never seen.
+/// SFW's module text behind a unique leading comment: the comment is part
+/// of the prelude, which every unit's cache key covers, so neither the
+/// module cache nor the unit cache has seen any of it.
 std::string fresh_module_source(const std::string& tag) {
   CompilerDriver driver;
   CompilationPtr comp = driver.start(apps::app("SFW").source);
   EXPECT_TRUE(driver.run_until(comp, Stage::Layout));
-  return emit_source(*comp, "SFW").text + "// " + tag + "\n";
+  return "// " + tag + "\n" + emit_source(*comp, "SFW").text;
+}
+
+/// Runs `fn` with $TMPDIR set to `dir`, then restores it.
+template <typename Fn>
+void with_tmpdir(const std::string& dir, Fn fn) {
+  const char* old = std::getenv("TMPDIR");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("TMPDIR", dir.c_str(), 1);
+  fn();
+  if (old != nullptr) {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
 }
 
 TEST(NativeJit, LoadsWhenTmpdirHasQuoteAndSpace) {
   const std::string dir = ::testing::TempDir() + "lucid it's " +
                           std::to_string(::getpid());
   ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0) << dir;
-  const char* old = std::getenv("TMPDIR");
-  const std::string saved = old != nullptr ? old : "";
-  ::setenv("TMPDIR", dir.c_str(), 1);
   std::string err;
-  const auto mod = Module::load(fresh_module_source(dir), &err);
-  if (old != nullptr) {
-    ::setenv("TMPDIR", saved.c_str(), 1);
-  } else {
-    ::unsetenv("TMPDIR");
-  }
+  std::shared_ptr<Module> mod;
+  with_tmpdir(dir, [&] { mod = Module::load(fresh_module_source(dir), &err); });
   EXPECT_NE(mod, nullptr) << err;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(NativeJit, LeavesNoFilesInTmpdir) {
+  const std::string dir =
+      ::testing::TempDir() + "lucid-clean-" + std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0) << dir;
+  auto leftovers = [&dir] {
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+      names.push_back(e.path().string());
+    }
+    return names;
+  };
+  with_tmpdir(dir, [&] {
+    std::string err;
+    EXPECT_NE(Module::load(fresh_module_source("clean"), &err), nullptr)
+        << err;
+    EXPECT_EQ(leftovers(), std::vector<std::string>{}) << "after a load";
+    EXPECT_EQ(Module::load("not C++ (clean)\n", &err), nullptr);
+    EXPECT_NE(err.find("compile failed"), std::string::npos) << err;
+    EXPECT_EQ(leftovers(), std::vector<std::string>{}) << "after a failure";
+  });
   std::filesystem::remove_all(dir);
 }
 
@@ -676,6 +722,159 @@ TEST(NativeJit, CompileAndCacheMetrics) {
   EXPECT_EQ(Module::load("not C++\n", &err), nullptr);
   EXPECT_EQ(failures.value(), failures0 + 1);
   EXPECT_NE(err.find("compile failed"), std::string::npos) << err;
+}
+
+TEST(NativeJit, ConcurrentLoadsCompileOnce) {
+  auto& reg = obs::Registry::global();
+  const auto& hist = reg.histogram("lucid_native_jit_compile_us");
+  const auto& compiled = reg.counter("lucid_native_jit_units_compiled_total");
+  const std::string source = fresh_module_source("threads");
+  const std::size_t units = split_units(source).units.size();
+  ASSERT_GT(units, 1u);
+
+  const auto count0 = hist.count();
+  const auto compiled0 = compiled.value();
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<Module>> mods(kThreads);
+  std::vector<std::string> errs(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      mods[static_cast<std::size_t>(i)] =
+          Module::load(source, &errs[static_cast<std::size_t>(i)]);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    ASSERT_NE(mods[k], nullptr) << errs[k];
+    EXPECT_EQ(mods[k], mods[0]) << "thread " << i;
+  }
+  EXPECT_EQ(hist.count(), count0 + 1);
+  EXPECT_EQ(compiled.value(), compiled0 + units);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental JIT: a one-handler edit touches one unit
+// ---------------------------------------------------------------------------
+
+/// A handler of an app: its event name and first parameter.
+struct HandlerSite {
+  std::string event;
+  std::string first_param;
+};
+
+/// The app's handlers in source order, as frontend::edit_one_handler
+/// counts them.
+std::vector<HandlerSite> handler_sites(const std::string& src) {
+  std::vector<HandlerSite> out;
+  for (std::size_t pos = src.find("handle "); pos != std::string::npos;
+       pos = src.find("handle ", pos + 7)) {
+    const std::size_t open = src.find('(', pos);
+    const std::size_t end = src.find_first_of(",)", open);
+    const std::string decl = src.substr(open + 1, end - open - 1);
+    HandlerSite h;
+    h.event = src.substr(pos + 7, open - pos - 7);
+    h.first_param = decl.substr(decl.find_last_of(' ') + 1);
+    out.push_back(h);
+  }
+  return out;
+}
+
+/// The benches' one-decl edit: a guard on the handler's first parameter
+/// that returns early.
+std::string guard_edit(const std::string& src, const HandlerSite& h,
+                       int which, std::int64_t constant) {
+  return frontend::edit_one_handler(
+      src, which,
+      " if (" + h.first_param + " == " + std::to_string(constant) +
+          ") { return; } ");
+}
+
+CompilationPtr compile_to_layout(const std::string& source) {
+  CompilerDriver driver;
+  CompilationPtr comp = driver.start(source);
+  EXPECT_TRUE(driver.run_until(comp, Stage::Layout)) << comp->diags().render();
+  return comp;
+}
+
+/// Event id -> unit text of the compilation's module.
+std::map<int, std::string> unit_texts(const Compilation& comp,
+                                      const std::string& name) {
+  const std::string text = emit_source(comp, name).text;
+  std::map<int, std::string> out;
+  for (const ModuleUnit& unit : split_units(text).units) {
+    EXPECT_GE(unit.event_id, 0) << name;
+    out[unit.event_id] = std::string(unit.text);
+  }
+  return out;
+}
+
+TEST(NativeIncremental, GuardEditChangesOnlyItsHandlersUnit) {
+  int edits = 0;
+  for (const auto& app : apps::all_apps()) {
+    const auto base = unit_texts(*compile_to_layout(app.source), app.key);
+    const auto sites = handler_sites(app.source);
+    for (std::size_t w = 0; w < sites.size(); ++w) {
+      const CompilationPtr comp = compile_to_layout(
+          guard_edit(app.source, sites[w], static_cast<int>(w), 100000));
+      const ir::EventInfo* ev = nullptr;
+      for (const auto& cand : comp->ir().events) {
+        if (cand.name == sites[w].event) ev = &cand;
+      }
+      ASSERT_NE(ev, nullptr) << app.key << " " << sites[w].event;
+      const auto edited = unit_texts(*comp, app.key);
+      std::vector<int> changed;
+      for (const auto& [id, text] : edited) {
+        const auto it = base.find(id);
+        if (it == base.end() || it->second != text) changed.push_back(id);
+      }
+      for (const auto& [id, text] : base) {
+        if (edited.count(id) == 0) changed.push_back(id);
+      }
+      EXPECT_EQ(changed, std::vector<int>{ev->event_id})
+          << app.key << ": edit of " << sites[w].event;
+      ++edits;
+    }
+  }
+  EXPECT_GT(edits, 10 * 2);
+}
+
+TEST(NativeIncremental, EditedProgramsCompileOneUnitAndMatchInterp) {
+  auto& reg = obs::Registry::global();
+  const auto& compiled = reg.counter("lucid_native_jit_units_compiled_total");
+  const auto& reused = reg.counter("lucid_native_jit_units_reused_total");
+  std::int64_t constant = 200000;  // distinct per edit: every unit is new
+  std::uint64_t seed = 0xED17;
+  for (const auto& app : apps::all_apps()) {
+    ASSERT_NE(build_app(app.key), nullptr) << app.key;
+    const auto sites = handler_sites(app.source);
+    for (std::size_t w = 0; w < sites.size(); ++w) {
+      const std::string src = guard_edit(app.source, sites[w],
+                                         static_cast<int>(w), constant++);
+      const std::string label = app.key + ": edit of " + sites[w].event;
+      const auto compiled0 = compiled.value();
+      const auto reused0 = reused.value();
+      interp::TestbedConfig cfg;
+      cfg.program_name = app.key;
+      interp::Testbed tb(src, cfg);
+      ASSERT_TRUE(tb.ok()) << label << "\n" << tb.diagnostics();
+      std::string err;
+      const auto prog = Program::build(tb.compilation_ptr(), &err);
+      ASSERT_NE(prog, nullptr) << label << ": " << err;
+      const std::size_t units =
+          split_units(prog->emitted().text).units.size();
+      EXPECT_EQ(compiled.value(), compiled0 + 1) << label;
+      EXPECT_EQ(reused.value(), reused0 + units - 1) << label;
+
+      const auto out = diff::run_differential(src, app.key, seed++, 200);
+      EXPECT_TRUE(out.ok) << label << ": " << out.detail;
+      EXPECT_GT(out.interp.executed, 0u) << label;
+    }
+  }
 }
 
 }  // namespace

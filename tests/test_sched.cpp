@@ -35,7 +35,7 @@ TEST(Scheduler, ImmediateLocalEventExecutes) {
   ev.event_id = 0;
   ev.args = {7, 8};
   n.sched.inject(ev);
-  n.sim.run();
+  ASSERT_TRUE(n.sim.run());
   EXPECT_EQ(seen, (std::vector<std::int64_t>{7, 8}));
   EXPECT_EQ(n.sched.stats().executed, 1u);
 }
@@ -54,7 +54,7 @@ TEST(Scheduler, GeneratedLocalEventRecirculatesOnce) {
   GenEvent first;
   first.event_id = 0;
   n.sched.inject(first);
-  n.sim.run();
+  ASSERT_TRUE(n.sim.run());
   EXPECT_EQ(executions, 2);
   EXPECT_EQ(n.sw.recirculations(), 1u);
 }
@@ -81,6 +81,26 @@ TEST(Scheduler, DelayedEventWaitsInPausableQueue) {
             cfg.release_interval_ns + cfg.release_window_ns);
   ASSERT_EQ(n.sched.stats().delay_samples.size(), 1u);
   EXPECT_EQ(n.sched.stats().delay_samples[0].first, 1 * sim::kMs);
+}
+
+TEST(Scheduler, RunWaitsForAnEventParkedInThePausableQueue) {
+  // The PFC stream is daemon work, but a packet parked in the delay queue
+  // holds the simulator: run() must not return before it executes.
+  SchedulerConfig cfg;
+  cfg.release_interval_ns = 100 * sim::kUs;
+  cfg.release_window_ns = 5 * sim::kUs;
+  Node n(cfg);
+  sim::Time executed_at = -1;
+  n.sched.set_execute([&](const pisa::Packet&) {
+    executed_at = n.sim.now();
+  });
+  GenEvent ev;
+  ev.event_id = 0;
+  ev.delay_ns = 1 * sim::kMs;
+  n.sched.inject(ev);
+  ASSERT_TRUE(n.sim.run());
+  EXPECT_GE(executed_at, 1 * sim::kMs);
+  EXPECT_EQ(n.sw.delay_queue_depth(), 0u);
 }
 
 TEST(Scheduler, BaselineDelaySpinsTheRecircPort) {
@@ -158,7 +178,7 @@ TEST(Scheduler, NonLocalEventForwardsThroughNetwork) {
   ev.args = {99};
   ev.location = 2;
   s1.inject(ev);
-  sim.run();
+  ASSERT_TRUE(sim.run());
   EXPECT_EQ(executed_at_2, 1);
   // One link hop (~1us) plus pipeline passes.
   EXPECT_GE(when, sim::kUs);
@@ -201,7 +221,7 @@ TEST(Scheduler, MulticastReachesAllMembers) {
   GenEvent start;
   start.event_id = 0;
   scheds[0]->inject(start);
-  sim.run();
+  ASSERT_TRUE(sim.run());
   EXPECT_EQ(executions[1], 1);
   EXPECT_EQ(executions[2], 1);
   EXPECT_EQ(executions[3], 1);
@@ -248,7 +268,7 @@ TEST(Network, UnknownDestinationIsDropped) {
   ev.event_id = 0;
   ev.location = 99;
   n.sched.inject(ev);
-  n.sim.run();
+  ASSERT_TRUE(n.sim.run());
   EXPECT_EQ(network.dropped(), 1u);
 }
 

@@ -84,6 +84,49 @@ TEST(Simulator, CallbacksCanScheduleRecursively) {
   EXPECT_EQ(sim.now(), 1000);
 }
 
+TEST(Simulator, DaemonsDoNotKeepRunGoing) {
+  Simulator sim;
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    sim.daemon_after(10, tick);  // re-arms forever
+  };
+  sim.daemon_after(10, tick);
+  bool ran = false;
+  sim.at(55, [&] { ran = true; });
+  EXPECT_TRUE(sim.run());
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(ticks, 5);  // the daemon ran, in time order, until 55
+  EXPECT_EQ(sim.now(), 55);
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, HeldWorkKeepsRunGoingUntilReleased) {
+  Simulator sim;
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    if (++ticks == 3) sim.release();  // a daemon frees the parked work
+    sim.daemon_after(10, tick);
+  };
+  sim.daemon_after(10, tick);
+  sim.hold();
+  EXPECT_TRUE(sim.run());
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(sim.now(), 30);
+}
+
+TEST(Simulator, RunReportsTheRunawayGuard) {
+  Simulator sim;
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    sim.after(10, tick);  // a live callback that never stops
+  };
+  sim.after(10, tick);
+  EXPECT_FALSE(sim.run(1000));
+  EXPECT_EQ(ticks, 1000);
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42);
   Rng b(42);
