@@ -8,15 +8,12 @@
 //                phase A  cold opt::analyze_layout vs
 //                         opt::update_layout_analysis with one dirty
 //                         handler                       — target >= 3x
-//                sema     serial vs 8 workers (measured, not a target:
-//                         the scaling defect is on ROADMAP)
 //   layout       the ten paper apps against an 8-variant grid: opt::layout
 //                per variant (cold) vs one opt::analyze_layout plus eight
 //                index-based merges (shared)    — target >= 2x
 //   sweep        the same grid, three backends: eight cold driver runs vs
-//                SweepEngine at 1 worker (serial) and at hardware
-//                concurrency (par), and over a warm ArtifactCache
-//                (cached)                       — measured
+//                SweepEngine (serial) and SweepEngine over a warm
+//                ArtifactCache (cached)         — measured
 //   incremental  the ten apps: cold compile vs CompilerDriver::recompile of
 //                a formatting-only edit (hit)   — target >= 2x
 //                and of a one-handler edit (edit), whose Sema+Lower stage
@@ -25,9 +22,8 @@
 // Every reuse path must match its cold path: shared layout's
 // Pipeline::str() on every variant; the hit and edit recompiles' p4 + ebpf
 // text, IR, pipeline and diagnostics on every app; the 512-decl edit's IR,
-// pipeline and diagnostics; serial and parallel Sema's diagnostics; and
-// every sweep's SweepReport::ok. A divergence exits 1 at once. A missed
-// target exits 1 after the JSON is written.
+// pipeline and diagnostics; and every sweep's SweepReport::ok. A divergence
+// exits 1 at once. A missed target exits 1 after the JSON is written.
 //
 // Each measurement alternates its cold and reuse runs in rounds
 // (interleaved_ms), so a slow spell on a shared host lands on both sides of
@@ -38,7 +34,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -61,8 +56,6 @@ const char* kGrid = "stages=4,8,12,16;salus=2,4";
 const std::vector<std::string> kBackends = {"p4", "ebpf", "interp"};
 constexpr int kParseReps = 20;
 constexpr int kPhaseAReps = 10;
-constexpr int kSemaReps = 10;
-constexpr int kSemaWorkers = 8;
 constexpr int kLayoutReps = 40;
 constexpr int kSweepReps = 3;
 constexpr int kIncrementalReps = 30;
@@ -146,8 +139,6 @@ struct ScaleResults {
   double phasea_cold_ms = 0;
   double phasea_inc_ms = 0;
   long handlers_reused = 0;
-  double sema_serial_ms = 0;
-  double sema_parallel_ms = 0;
 };
 
 ScaleResults measure_scale() {
@@ -202,27 +193,6 @@ ScaleResults measure_scale() {
   r.phasea_cold_ms = phasea[0];
   r.phasea_inc_ms = phasea[1];
   r.handlers_reused = reused;
-
-  // Sema: serial vs kSemaWorkers, identical diagnostics; the Sema stage
-  // record is summed, not the whole run.
-  DriverOptions par_opts = opts;
-  par_opts.sema_workers = kSemaWorkers;
-  const CompilerDriver par_driver(par_opts);
-  const CompilationPtr a = driver.run(source, Stage::Sema);
-  const CompilationPtr b = par_driver.run(source, Stage::Sema);
-  if (!a->ok() || !b->ok() || a->diags().render() != b->diags().render()) {
-    fatal("parallel Sema diagnostics diverged from serial");
-  }
-  const auto sema_wall = [&](const CompilerDriver& d, bool timed,
-                             double& sum) {
-    const CompilationPtr c = d.run(source, Stage::Sema);
-    if (!c->ok()) fatal("progen sema");
-    if (timed) sum += c->record(Stage::Sema).wall_ms;
-  };
-  interleaved_ms(
-      kSemaReps,
-      [&](bool timed) { sema_wall(driver, timed, r.sema_serial_ms); },
-      [&](bool timed) { sema_wall(par_driver, timed, r.sema_parallel_ms); });
   return r;
 }
 
@@ -300,17 +270,15 @@ LayoutRow measure_layout(const apps::AppSpec& spec,
 struct SweepRow {
   std::string key;
   double cold_ms = 0;    // kSweepReps x 8 driver runs + 3 emissions each
-  double serial_ms = 0;  // kSweepReps x SweepEngine, 1 worker
-  double par_ms = 0;     // kSweepReps x SweepEngine, hardware concurrency
-  double cached_ms = 0;  // kSweepReps x par over a warm ArtifactCache
-  std::map<std::string, double> par_emit_ms;     // per backend
+  double serial_ms = 0;  // kSweepReps x SweepEngine
+  double cached_ms = 0;  // kSweepReps x SweepEngine over a warm ArtifactCache
+  std::map<std::string, double> serial_emit_ms;  // per backend
   std::map<std::string, double> cached_emit_ms;  // per backend
   void add(const SweepRow& o) {
     cold_ms += o.cold_ms;
     serial_ms += o.serial_ms;
-    par_ms += o.par_ms;
     cached_ms += o.cached_ms;
-    for (const auto& [b, ms] : o.par_emit_ms) par_emit_ms[b] += ms;
+    for (const auto& [b, ms] : o.serial_emit_ms) serial_emit_ms[b] += ms;
     for (const auto& [b, ms] : o.cached_emit_ms) cached_emit_ms[b] += ms;
   }
   void write(JsonWriter& j, const std::string& name = {}) const {
@@ -318,7 +286,6 @@ struct SweepRow {
         .field("app", key)
         .field("cold_ms", cold_ms)
         .field("serial_ms", serial_ms)
-        .field("par_ms", par_ms)
         .field("cached_ms", cached_ms);
     const auto by_backend = [&j](const char* field,
                                  const std::map<std::string, double>& m) {
@@ -326,21 +293,19 @@ struct SweepRow {
       for (const auto& [b, ms] : m) j.field(b, ms);
       j.obj_close();
     };
-    by_backend("par_emit_ms", par_emit_ms);
+    by_backend("serial_emit_ms", serial_emit_ms);
     by_backend("cached_emit_ms", cached_emit_ms);
     j.obj_close();
   }
 };
 
 void run_sweep(const apps::AppSpec& spec,
-               const std::vector<SweepVariant>& variants, int workers,
-               ArtifactCache* cache,
+               const std::vector<SweepVariant>& variants, ArtifactCache* cache,
                std::map<std::string, double>* emit_ms = nullptr) {
   SweepOptions opts;
   opts.variants = variants;
   opts.backends = kBackends;
   opts.program_name = spec.key;
-  opts.workers = workers;
   opts.cache = cache;
   const SweepReport report = SweepEngine().run(spec.source, opts);
   if (!report.ok) fatal("sweep over " + spec.key + " failed:\n" + report.str());
@@ -374,18 +339,16 @@ SweepRow measure_sweep(const apps::AppSpec& spec,
           }
         }
       },
-      [&](bool) { run_sweep(spec, variants, 1, nullptr); },
       [&](bool timed) {
-        run_sweep(spec, variants, 0, nullptr, timed ? &r.par_emit_ms : nullptr);
+        run_sweep(spec, variants, nullptr,
+                  timed ? &r.serial_emit_ms : nullptr);
       },
       [&](bool timed) {  // the untimed first run warms the cache
-        run_sweep(spec, variants, 0, &cache,
-                  timed ? &r.cached_emit_ms : nullptr);
+        run_sweep(spec, variants, &cache, timed ? &r.cached_emit_ms : nullptr);
       });
   r.cold_ms = ms[0];
   r.serial_ms = ms[1];
-  r.par_ms = ms[2];
-  r.cached_ms = ms[3];
+  r.cached_ms = ms[2];
   return r;
 }
 
@@ -509,7 +472,6 @@ Row per_app_section(JsonWriter& j, Measure measure, Print print) {
 int main() {
   register_default_backends();
   const auto variants = *parse_sweep_grid(kGrid);
-  const unsigned hw_threads = std::thread::hardware_concurrency();
   JsonWriter j;
   j.obj_open().field("bench", "bench_frontend");
 
@@ -519,7 +481,6 @@ int main() {
   const ScaleResults s = measure_scale();
   const double parse_x = ratio(s.parse_cold_ms, s.parse_edit_ms);
   const double phasea_x = ratio(s.phasea_cold_ms, s.phasea_inc_ms);
-  const double sema_x = ratio(s.sema_serial_ms, s.sema_parallel_ms);
   std::printf("%d decls (%d handlers), one-handler edit\n", s.decls,
               s.handlers);
   std::printf("%-24s %9.2f ms  (x%d reps)\n", "parse: cold",
@@ -530,15 +491,8 @@ int main() {
               s.phasea_cold_ms, kPhaseAReps);
   std::printf("%-24s %9.2f ms  (%ld handlers reused)\n",
               "phase A: incremental", s.phasea_inc_ms, s.handlers_reused);
-  std::printf("%-24s %9.2f ms  (stage wall, x%d reps)\n", "sema: serial",
-              s.sema_serial_ms, kSemaReps);
-  std::printf("%-24s %9.2f ms  (%d workers on %u hardware threads: %.2fx)\n",
-              "sema: parallel", s.sema_parallel_ms, kSemaWorkers, hw_threads,
-              sema_x);
   j.field("decls", s.decls)
       .field("handlers", s.handlers)
-      .field("sema_workers", kSemaWorkers)
-      .field("hardware_threads", hw_threads)
       .field("parse_cold_ms", s.parse_cold_ms)
       .field("parse_edit_ms", s.parse_edit_ms)
       .field("parse_decls_reused", s.parse_reused)
@@ -546,10 +500,7 @@ int main() {
       .field("phasea_cold_ms", s.phasea_cold_ms)
       .field("phasea_incremental_ms", s.phasea_inc_ms)
       .field("phasea_handlers_reused", s.handlers_reused)
-      .field("phasea_speedup", phasea_x)
-      .field("sema_serial_ms", s.sema_serial_ms)
-      .field("sema_parallel_ms", s.sema_parallel_ms)
-      .field("sema_speedup", sema_x);
+      .field("phasea_speedup", phasea_x);
 
   print_header("layout", "cold (analysis per variant) vs shared (analysis "
                          "once), " + std::to_string(kLayoutReps) +
@@ -573,17 +524,15 @@ int main() {
   const double layout_x = ratio(layout.cold_ms, layout.shared_ms);
   j.field("speedup_shared_over_cold", layout_x).obj_close();
 
-  print_header("sweep", "8 cold compiles vs SweepEngine at 1 and " +
-                            std::to_string(hw_threads) +
-                            " workers vs a warm cache, " +
+  print_header("sweep", "8 cold compiles vs SweepEngine vs SweepEngine over "
+                        "a warm cache, " +
                             std::to_string(kSweepReps) + " reps, backends "
                             "p4,ebpf,interp");
-  std::printf("%-8s %10s %10s %10s %10s   %s\n", "app", "cold ms",
-              "serial ms", "par ms", "cached ms", "cold/par  serial/par");
+  std::printf("%-8s %10s %10s %10s   %s\n", "app", "cold ms", "serial ms",
+              "cached ms", "cold/serial  cold/cached");
   j.obj_open("sweep")
       .field("grid", kGrid)
       .field("variants", variants.size())
-      .field("workers", hw_threads)
       .field("reps", kSweepReps);
   j.arr_open("backends");
   for (const std::string& b : kBackends) j.item(b);
@@ -595,13 +544,13 @@ int main() {
         return measure_sweep(spec, variants, cache);
       },
       [](const SweepRow& r) {
-        std::printf("%-8s %10.2f %10.2f %10.2f %10.2f   %.2fx     %.2fx\n",
-                    r.key.c_str(), r.cold_ms, r.serial_ms, r.par_ms,
-                    r.cached_ms, ratio(r.cold_ms, r.par_ms),
-                    ratio(r.serial_ms, r.par_ms));
+        std::printf("%-8s %10.2f %10.2f %10.2f   %.2fx        %.2fx\n",
+                    r.key.c_str(), r.cold_ms, r.serial_ms, r.cached_ms,
+                    ratio(r.cold_ms, r.serial_ms),
+                    ratio(r.cold_ms, r.cached_ms));
       });
-  j.field("speedup_cold_over_par", ratio(sweep.cold_ms, sweep.par_ms))
-      .field("speedup_serial_over_par", ratio(sweep.serial_ms, sweep.par_ms))
+  j.field("speedup_cold_over_serial", ratio(sweep.cold_ms, sweep.serial_ms))
+      .field("speedup_cold_over_cached", ratio(sweep.cold_ms, sweep.cached_ms))
       .obj_close();
 
   print_header("incremental", "cold vs structural hit vs one-handler edit "
@@ -628,7 +577,7 @@ int main() {
       .field("speedup_edit_sema_lower", edit_sl_x)
       .obj_close();
 
-  print_header("targets", "reuse over cold; parallel Sema is measured only");
+  print_header("targets", "reuse over cold");
   bool ok = true;
   ok &= meets("incremental parse, 512 decls", parse_x, 5.0);
   ok &= meets("patched Phase A, 512 decls", phasea_x, 3.0);

@@ -309,7 +309,7 @@ bool CompilerDriver::run_stage(Compilation& c, Stage s) const {
       break;
     }
     case Stage::Sema: {
-      sema::TypeChecker tc(c.diags_, c.options_.sema_workers);
+      sema::TypeChecker tc(c.diags_);
       ok = tc.check(c.artifacts_.program) &&
            c.diags_.error_count() == errors_before;
       c.artifacts_.info = tc.info();
@@ -479,7 +479,7 @@ CompilationPtr CompilerDriver::recompile(const ConstCompilationPtr& prev,
     rec.diag_begin = comp->diags_.all().size();
     const std::size_t errors_before = comp->diags_.error_count();
     const auto t0 = Clock::now();
-    sema::TypeChecker tc(comp->diags_, options_.sema_workers);
+    sema::TypeChecker tc(comp->diags_);
     sema::SemaReuse reuse;
     reuse.prev = &prev->ast();
     reuse.prev_info = &prev->analysis();

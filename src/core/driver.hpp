@@ -121,11 +121,6 @@ struct DriverOptions {
   opt::ResourceModel model = opt::ResourceModel::tofino();
   /// Name used by emitters (P4 program name, artifact labels).
   std::string program_name = "program";
-  /// Worker threads for Sema's per-decl body-check phase (<= 1: serial).
-  /// Any worker count produces byte-identical diagnostics and annotations,
-  /// so this field is excluded from options_fingerprint — it never affects
-  /// artifacts, only wall time.
-  int sema_workers = 1;
 };
 
 /// All middle-end artifacts, owned together.

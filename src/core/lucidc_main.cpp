@@ -12,7 +12,7 @@
 //   lucidc --sweep=GRID FILE          compile against a resource-model grid
 //                                     (e.g. --sweep=stages=8,12;salus=2,4),
 //                                     sharing one front-end run across all
-//                                     variants and emitting in parallel
+//                                     variants
 //   lucidc --fit=SPEC FILE            binary-search the smallest resource
 //                                     model the program fits (e.g.
 //                                     --fit=stages=1..20;salus=2,4: bisect
@@ -23,8 +23,6 @@
 //                                     Sema/Lower; whitespace/comment edits
 //                                     reuse everything past Parse
 //   lucidc --cache-dir=DIR ...        cache emitted artifacts under DIR
-//   lucidc --jobs=N                   worker threads for --sweep (default:
-//                                     hardware concurrency)
 //   lucidc --backends=p4,interp ...   backends a --sweep emits (default:
 //                                     every registered text backend)
 //   lucidc --trace-out=FILE ...       record structured spans across the
@@ -84,10 +82,6 @@ void usage(std::ostream& os) {
         "                     only changed decls (and dependents) re-run\n"
         "                     Sema/Lower\n"
         "  --cache-dir=DIR    reuse/store emitted artifacts under DIR\n"
-        "  --jobs=N           sweep worker threads (default: all cores)\n"
-        "  --sema-workers=N   worker threads for Sema's per-decl body checks\n"
-        "                     (default 1 = serial; diagnostics identical at\n"
-        "                     any count)\n"
         "  --backends=LIST    backends a --sweep emits (default: p4,ebpf,"
         "interp)\n"
         "  --trace-out=FILE   record spans (compiler stages, sweep jobs,\n"
@@ -167,8 +161,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> sweep_backends;        // --backends=...
   bool backends_requested = false;
   std::string cache_dir;                          // --cache-dir=...
-  int jobs = 0;                                   // --jobs=...
-  int sema_workers = 1;                           // --sema-workers=...
   std::string trace_out;                          // --trace-out=...
   int trace_sample = 1;                           // --trace-sample=...
   std::string metrics_out;                        // --metrics-out=...
@@ -256,20 +248,6 @@ int main(int argc, char** argv) {
         std::cerr << "lucidc: --cache-dir requires a directory path\n";
         return kExitUsage;
       }
-    } else if (lucid::starts_with(arg, "--jobs=")) {
-      const auto parsed = lucid::parse_positive_int(arg.substr(7));
-      if (!parsed) {
-        std::cerr << "lucidc: --jobs requires a positive integer\n";
-        return kExitUsage;
-      }
-      jobs = *parsed;
-    } else if (lucid::starts_with(arg, "--sema-workers=")) {
-      const auto parsed = lucid::parse_positive_int(arg.substr(15));
-      if (!parsed) {
-        std::cerr << "lucidc: --sema-workers requires a positive integer\n";
-        return kExitUsage;
-      }
-      sema_workers = *parsed;
     } else if (lucid::starts_with(arg, "--trace-out=")) {
       trace_out = arg.substr(12);
       if (trace_out.empty()) {
@@ -357,10 +335,6 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
   }
-  if (jobs > 0 && !sweep_requested && !fit_requested) {
-    std::cerr << "lucidc: --jobs only applies to --sweep and --fit\n";
-    return kExitUsage;
-  }
   if (backends_requested) {
     if (!sweep_requested) {
       std::cerr << "lucidc: --backends only applies to --sweep (use --emit "
@@ -443,16 +417,14 @@ int main(int argc, char** argv) {
 
   lucid::DriverOptions opts;
   opts.program_name = path;
-  opts.sema_workers = sema_workers;
   const lucid::CompilerDriver driver(opts);
 
-  // Resource-model sweep: one front end, N variants, parallel emission.
+  // Resource-model sweep: one front end, N variants, every backend each.
   if (sweep_requested) {
     lucid::ArtifactCache cache(lucid::Stage::Lower, cache_dir);
     lucid::SweepOptions sweep_opts;
     sweep_opts.variants = std::move(sweep_variants);
     sweep_opts.program_name = path;
-    sweep_opts.workers = jobs;
     if (backends_requested) sweep_opts.backends = sweep_backends;
     if (!cache_dir.empty()) sweep_opts.cache = &cache;
     const lucid::SweepReport report =
@@ -469,7 +441,6 @@ int main(int argc, char** argv) {
     lucid::FitOptions fit_opts;
     fit_opts.spec = std::move(*fit_parsed);
     fit_opts.program_name = path;
-    fit_opts.workers = jobs;
     const lucid::FitReport report =
         lucid::SweepEngine().fit(source, fit_opts);
     std::cout << report.str();

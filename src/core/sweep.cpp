@@ -1,12 +1,10 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "obs/trace.hpp"
 #include "support/chrono.hpp"
@@ -276,13 +274,8 @@ SweepReport SweepEngine::run(std::string_view source,
   if (variants.empty()) {
     variants.push_back(SweepVariant{"tofino", opt::ResourceModel::tofino()});
   }
-  int workers = options.workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-  }
 
-  // ---- Phase 1 (serial): one front end, shared by every variant ----------
+  // ---- Phase 1: one front end, shared by every variant -------------------
   DriverOptions base_opts;
   base_opts.program_name = options.program_name;
   const CompilerDriver driver(base_opts, registry_);
@@ -317,21 +310,20 @@ SweepReport SweepEngine::run(std::string_view source,
     return report;
   }
 
-  // The model-independent layout analysis (Phase A) is paid here, serially
-  // and exactly once: every variant clone resolves to this same artifact, so
-  // none of the parallel Layout runs below recompute it (or serialize on its
-  // call_once). A warm cache's master may have computed it already — then
-  // this is a no-op and the wall time records ~0.
+  // The model-independent layout analysis (Phase A) is paid here, exactly
+  // once: every variant clone resolves to this same artifact, so none of the
+  // Layout runs below recompute it. A warm cache's master may have computed
+  // it already — then this is a no-op and the wall time records ~0.
   {
     const auto t0 = Clock::now();
     (void)base->layout_analysis_ptr();
     report.analysis_wall_ms = ms_since(t0);
   }
 
-  // ---- Phase 2 (parallel): per-variant layout on front-end clones --------
+  // ---- Phase 2: per-variant layout on front-end clones --------------------
   report.variants.resize(variants.size());
   std::vector<CompilationPtr> compiled(variants.size());
-  parallel_for(variants.size(), workers, [&](std::size_t i) {
+  for (std::size_t i = 0; i < variants.size(); ++i) {
     obs::ScopedSpan span("sweep", "variant_layout");
     span.arg("variant", variants[i].label);
     const auto t0 = Clock::now();
@@ -352,64 +344,51 @@ SweepReport SweepEngine::run(std::string_view source,
     }
     vr.wall_ms = ms_since(t0);
     compiled[i] = std::move(comp);
-  });
+  }
 
-  // ---- Phase 3 (parallel): per-(variant, backend) emission clones --------
-  struct EmitTask {
-    std::size_t variant = 0;
-    std::size_t slot = 0;
-    std::string backend;
-  };
-  std::vector<EmitTask> tasks;
+  // ---- Phase 3: per-(variant, backend) emission clones --------------------
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    report.variants[i].emissions.resize(options.backends.size());
+    SweepVariantReport& vr = report.variants[i];
+    vr.emissions.resize(options.backends.size());
     for (std::size_t b = 0; b < options.backends.size(); ++b) {
-      // Name every slot up front so report columns stay labelled even for
+      // Every slot is named so report columns stay labelled even for
       // variants whose layout failed (their emissions stay ok == false).
-      report.variants[i].emissions[b].backend = options.backends[b];
-    }
-    if (!report.variants[i].ok) continue;  // layout failed: nothing to emit
-    for (std::size_t b = 0; b < options.backends.size(); ++b) {
-      tasks.push_back(EmitTask{i, b, options.backends[b]});
+      SweepEmission& em = vr.emissions[b];
+      em.backend = options.backends[b];
+      if (!vr.ok) continue;  // layout failed: nothing to emit
+
+      obs::ScopedSpan span("sweep", "emit");
+      span.arg("backend", em.backend);
+      const auto t0 = Clock::now();
+      const CompilationPtr& comp = compiled[i];
+      if (options.cache != nullptr) {
+        if (auto cached = options.cache->load_artifact(source, comp->options(),
+                                                       em.backend)) {
+          em.ok = cached->ok;
+          em.from_cache = true;
+          em.text = std::move(cached->text);
+          em.metrics = std::move(cached->metrics);
+          em.wall_ms = ms_since(t0);
+          continue;
+        }
+      }
+
+      // Every emission runs on its own clone of the variant's compilation,
+      // so backends never share a DiagnosticEngine or Emit record.
+      CompilationPtr eclone = comp->clone_from_stage(Stage::Layout);
+      const CompilerDriver edriver(comp->options(), registry_);
+      BackendArtifact artifact = edriver.emit(eclone, em.backend);
+      if (options.cache != nullptr && artifact.ok) {
+        // Store before the fields move into the report (no artifact copy).
+        options.cache->store_artifact(source, comp->options(), artifact);
+      }
+      em.ok = artifact.ok;
+      em.text = std::move(artifact.text);
+      em.metrics = std::move(artifact.metrics);
+      em.diagnostics = eclone->stage_diagnostics(Stage::Emit);
+      em.wall_ms = ms_since(t0);
     }
   }
-  parallel_for(tasks.size(), workers, [&](std::size_t t) {
-    obs::ScopedSpan span("sweep", "emit");
-    span.arg("backend", tasks[t].backend);
-    const auto t0 = Clock::now();
-    const EmitTask& task = tasks[t];
-    SweepVariantReport& vr = report.variants[task.variant];
-    SweepEmission& em = vr.emissions[task.slot];
-    em.backend = task.backend;
-
-    const CompilationPtr& comp = compiled[task.variant];
-    if (options.cache != nullptr) {
-      if (auto cached = options.cache->load_artifact(source, comp->options(),
-                                                     task.backend)) {
-        em.ok = cached->ok;
-        em.from_cache = true;
-        em.text = std::move(cached->text);
-        em.metrics = std::move(cached->metrics);
-        em.wall_ms = ms_since(t0);
-        return;
-      }
-    }
-
-    // Every emission runs on its own clone of the variant's compilation, so
-    // concurrent backends never share a DiagnosticEngine or Emit record.
-    CompilationPtr eclone = comp->clone_from_stage(Stage::Layout);
-    const CompilerDriver edriver(comp->options(), registry_);
-    BackendArtifact artifact = edriver.emit(eclone, task.backend);
-    if (options.cache != nullptr && artifact.ok) {
-      // Store before the fields move into the report (no artifact copy).
-      options.cache->store_artifact(source, comp->options(), artifact);
-    }
-    em.ok = artifact.ok;
-    em.text = std::move(artifact.text);
-    em.metrics = std::move(artifact.metrics);
-    em.diagnostics = eclone->stage_diagnostics(Stage::Emit);
-    em.wall_ms = ms_since(t0);
-  });
 
   // ---- Aggregate ----------------------------------------------------------
   report.ok = true;
@@ -488,12 +467,6 @@ FitReport SweepEngine::fit(std::string_view source,
   report.lo = options.spec.lo;
   report.hi = options.spec.hi;
 
-  int workers = options.workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-  }
-
   // One front end for every row and probe, exactly as in run().
   DriverOptions base_opts;
   base_opts.program_name = options.program_name;
@@ -523,12 +496,12 @@ FitReport SweepEngine::fit(std::string_view source,
     report.total_wall_ms = ms_since(fit_t0);
     return report;
   }
-  // Phase A paid serially once; every probe's Layout shares it.
+  // Phase A paid once; every probe's Layout shares it.
   (void)base->layout_analysis_ptr();
 
   report.rows.resize(options.spec.base.size());
-  std::atomic<bool> probes_ok{true};
-  parallel_for(options.spec.base.size(), workers, [&](std::size_t i) {
+  report.ok = true;
+  for (std::size_t i = 0; i < options.spec.base.size(); ++i) {
     const SweepVariant& v = options.spec.base[i];
     FitRow& row = report.rows[i];
     row.label = v.label;
@@ -556,10 +529,10 @@ FitReport SweepEngine::fit(std::string_view source,
     const int at_hi = probe(options.spec.hi);
     if (at_hi < 0) {
       row.layout_ok = false;
-      probes_ok.store(false);
-      return;
+      report.ok = false;
+      continue;
     }
-    if (at_hi == 0) return;  // fitted stays -1: nothing in range fits
+    if (at_hi == 0) continue;  // fitted stays -1: nothing in range fits
     int lo = options.spec.lo;
     int hi = options.spec.hi;
     while (lo < hi) {
@@ -567,8 +540,8 @@ FitReport SweepEngine::fit(std::string_view source,
       const int r = probe(mid);
       if (r < 0) {
         row.layout_ok = false;
-        probes_ok.store(false);
-        return;
+        report.ok = false;
+        break;
       }
       if (r == 1) {
         hi = mid;
@@ -576,11 +549,11 @@ FitReport SweepEngine::fit(std::string_view source,
         lo = mid + 1;
       }
     }
+    if (!row.layout_ok) continue;
     row.fitted = lo;
     *model_field(row.model, options.spec.search_field) = lo;
-  });
+  }
 
-  report.ok = probes_ok.load();
   report.all_fit = report.ok;
   for (const FitRow& r : report.rows) {
     if (r.fitted < 0) report.all_fit = false;

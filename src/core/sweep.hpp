@@ -6,9 +6,8 @@
 // engine pays for the front end exactly once: Parse, Sema, and Lower run a
 // single time (or come out of an ArtifactCache), every variant is a
 // Compilation::clone_from_stage of that shared front end, and every
-// (variant, backend) emission runs on its own Layout-level clone so all
-// layout and emission work fans out across a worker pool with no shared
-// mutable state.
+// (variant, backend) emission runs on its own Layout-level clone, so no
+// variant or emission mutates another's state.
 //
 // Grid specs (the CLI's --sweep=<grid-spec>) are cross products over
 // resource-model fields:
@@ -31,7 +30,6 @@
 #include "core/cache.hpp"
 #include "core/driver.hpp"
 #include "opt/passes.hpp"
-#include "support/parallel.hpp"
 
 namespace lucid {
 
@@ -46,9 +44,6 @@ struct SweepVariant {
 /// spec. An empty spec yields the single default Tofino variant.
 [[nodiscard]] std::optional<std::vector<SweepVariant>> parse_sweep_grid(
     std::string_view spec, std::string* error = nullptr);
-
-// parallel_for moved to support/parallel.hpp (shared with parallel Sema);
-// included here so existing callers keep finding lucid::parallel_for.
 
 // ---------------------------------------------------------------------------
 // Report
@@ -87,7 +82,7 @@ struct SweepReport {
   int frontend_runs = 0;
   double frontend_wall_ms = 0.0;  // Parse+Sema+Lower cost (paid once)
   /// Wall-clock of the model-independent layout analysis (opt::
-  /// LayoutAnalysis, Phase A), computed serially once and shared by every
+  /// LayoutAnalysis, Phase A), computed once and shared by every
   /// variant's Layout run — their StageRecords carry analysis_shared as
   /// proof. ~0 when a warm cache's master had already computed it.
   double analysis_wall_ms = 0.0;
@@ -106,8 +101,6 @@ struct SweepReport {
 struct SweepOptions {
   std::vector<SweepVariant> variants;  // empty -> single Tofino variant
   std::vector<std::string> backends = {"p4", "ebpf", "interp"};
-  /// Worker threads for layout + emission; 0 = hardware concurrency.
-  int workers = 0;
   std::string program_name = "program";
   /// Optional cache: the front end is acquired through it (memory layer) and
   /// emissions are served from / stored to its disk layer when enabled.
@@ -169,8 +162,6 @@ struct FitReport {
 
 struct FitOptions {
   FitSpec spec;
-  /// Worker threads across rows; 0 = hardware concurrency.
-  int workers = 0;
   std::string program_name = "program";
   /// Optional cache for the front end (memory layer), as in SweepOptions.
   ArtifactCache* cache = nullptr;

@@ -1,7 +1,6 @@
 #include "sema/type_check.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <set>
 #include <vector>
@@ -9,7 +8,6 @@
 #include "frontend/parser.hpp"
 #include "obs/trace.hpp"
 #include "sema/memop_check.hpp"
-#include "support/parallel.hpp"
 
 namespace lucid::sema {
 
@@ -101,9 +99,8 @@ struct FunInfo {
 class Checker {
  public:
   Checker(Program& program, DiagnosticEngine& diags, AnalysisInfo& info,
-          const SemaReuse* reuse, int workers)
-      : program_(program), diags_(diags), info_(info), reuse_(reuse),
-        workers_(workers) {}
+          const SemaReuse* reuse)
+      : program_(program), diags_(diags), info_(info), reuse_(reuse) {}
 
   bool run();
 
@@ -131,12 +128,7 @@ class Checker {
     Type return_type = Type::void_ty();
     bool in_handler = false;
     std::string owner;  // handler/fun name for diagnostics
-    // Diagnostics sink + error flag for this checking context. Serial phases
-    // point at the compilation's engine; parallel per-decl tasks each get a
-    // private engine whose diagnostics are merged back in task order, so
-    // output is deterministic regardless of worker interleaving.
-    DiagnosticEngine* diags = nullptr;
-    bool ok = true;
+    bool ok = true;     // no error reported in this checking context
   };
 
   void push_scope(Ctx& ctx) { ctx.scopes.emplace_back(); }
@@ -169,8 +161,7 @@ class Checker {
 
   // ---- declarations ------------------------------------------------------------
   void check_fun(FunInfo& fi);
-  void check_handler(HandlerDecl& h, DiagnosticEngine& diags, bool& ok,
-                     std::optional<int>& end_stage);
+  void check_handler(HandlerDecl& h);
   void check_bodies();
 
   Program& program_;
@@ -194,7 +185,6 @@ class Checker {
   std::size_t decls_reused_ = 0;
 
   EffectVar next_var_ = 0;
-  int workers_ = 1;
   bool ok_ = true;
 };
 
@@ -206,75 +196,39 @@ bool Checker::run() {
   eval_consts_and_globals();
   prepare_reuse();
 
-  // Functions first (serially, on the compilation's engine): fun signatures
-  // are demanded by call sites, and force-checking them all here means no
-  // parallel task ever re-enters check_fun. Reused funs arrive pre-checked
-  // (prepare_reuse seeded their signatures).
+  // Functions first: fun signatures are demanded by call sites, so checking
+  // them all up front means no body check re-enters check_fun. Reused funs
+  // arrive pre-checked (prepare_reuse seeded their signatures).
   for (auto& [name, fi] : funs_) {
     if (!fi.checked) check_fun(fi);
   }
-
-  // Memop and handler bodies are mutually independent once the symbol maps,
-  // const environment, and fun signatures are in — fan them out.
   check_bodies();
 
   return ok_ && diags_.error_count() == errors_at_entry;
 }
 
 void Checker::check_bodies() {
-  // Tasks in the serial checking order — memops in map (name) order, then
-  // handlers in declaration order — so the merged diagnostic stream is
-  // byte-identical to a serial check at any worker count.
-  struct Task {
-    MemopDecl* memop = nullptr;
-    HandlerDecl* handler = nullptr;
-  };
-  struct TaskOut {
-    DiagnosticEngine diags;
-    bool ok = true;
-    std::optional<int> end_stage;
-  };
-  std::vector<Task> tasks;
+  // Memops in map (name) order, then handlers in declaration order; decls
+  // validated by the prior compile are skipped.
   for (auto& [name, m] : memops_) {
-    if (skip_body_.count(m) != 0) continue;  // validated in the prior compile
-    tasks.push_back(Task{m, nullptr});
+    if (skip_body_.count(m) != 0) continue;
+    obs::ScopedSpan span("sema", "check_memop");
+    span.arg("decl", std::string_view(m->name));
+    if (!check_memop(
+            *m, [this](std::string_view n) { return is_const_name(n); },
+            diags_)) {
+      ok_ = false;
+    }
   }
   for (auto& d : program_.decls) {
-    if (d->kind == DeclKind::Handler && skip_body_.count(d.get()) == 0) {
-      tasks.push_back(Task{nullptr, d->as<HandlerDecl>()});
+    if (d->kind != DeclKind::Handler || skip_body_.count(d.get()) != 0) {
+      continue;
     }
+    HandlerDecl* h = d->as<HandlerDecl>();
+    obs::ScopedSpan span("sema", "check_handler");
+    span.arg("decl", std::string_view(h->name));
+    check_handler(*h);
   }
-
-  std::vector<TaskOut> outs(tasks.size());
-  std::atomic<int> failed{0};
-  parallel_for(tasks.size(), workers_, [&](std::size_t i) {
-    const Task& t = tasks[i];
-    TaskOut& out = outs[i];
-    if (t.memop != nullptr) {
-      obs::ScopedSpan span("sema", "check_memop");
-      span.arg("decl", std::string_view(t.memop->name));
-      out.ok = check_memop(
-          *t.memop, [this](std::string_view n) { return is_const_name(n); },
-          out.diags);
-    } else {
-      obs::ScopedSpan span("sema", "check_handler");
-      span.arg("decl", std::string_view(t.handler->name));
-      check_handler(*t.handler, out.diags, out.ok, out.end_stage);
-    }
-    if (!out.ok) failed.fetch_add(1, std::memory_order_relaxed);
-  });
-
-  // Deterministic merge, in task order.
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    TaskOut& out = outs[i];
-    for (const Diagnostic& d : out.diags.all()) {
-      diags_.add(d.severity, d.range, d.code, d.message);
-    }
-    if (tasks[i].handler != nullptr && out.end_stage.has_value()) {
-      info_.handler_end_stage[tasks[i].handler->name] = *out.end_stage;
-    }
-  }
-  if (failed.load(std::memory_order_relaxed) != 0) ok_ = false;
 }
 
 void Checker::prepare_reuse() {
@@ -463,14 +417,14 @@ void Checker::eval_consts_and_globals() {
 bool Checker::define_local(Ctx& ctx, const std::string& name, Type t,
                            SrcRange r) {
   if (globals_.count(name) || consts_.count(name)) {
-    ctx.diags->error(r, "sema-shadows-global",
+    diags_.error(r, "sema-shadows-global",
                  "local '" + name + "' shadows a top-level declaration");
     ctx.ok = false;
     return false;
   }
   auto& scope = ctx.scopes.back();
   if (!scope.emplace(name, t).second) {
-    ctx.diags->error(r, "sema-redefined",
+    diags_.error(r, "sema-redefined",
                  "'" + name + "' is already defined in this scope");
     ctx.ok = false;
     return false;
@@ -510,9 +464,9 @@ void Checker::emit_or_check(Ctx& ctx, EffectConstraint c) {
                         " (current stage term: " + c.lhs.str() +
                         "); globals must be accessed in declaration order "
                         "(section 5)";
-      ctx.diags->error(c.site, "effect-out-of-order", std::move(msg));
+      diags_.error(c.site, "effect-out-of-order", std::move(msg));
       if (blame && blame->site.valid()) {
-        ctx.diags->note(blame->site, "effect-prior-access",
+        diags_.note(blame->site, "effect-prior-access",
                     "the conflicting earlier " +
                         (blame->origin.empty() ? std::string("access")
                                                : blame->origin) +
@@ -526,7 +480,7 @@ void Checker::emit_or_check(Ctx& ctx, EffectConstraint c) {
   if (ctx.sig != nullptr) {
     ctx.sig->constraints.push_back(std::move(c));
   } else {
-    ctx.diags->error(c.site, "effect-unresolved",
+    diags_.error(c.site, "effect-unresolved",
                  "internal: unresolved effect constraint in handler context");
     ctx.ok = false;
   }
@@ -550,7 +504,7 @@ void Checker::apply_access(Ctx& ctx, const StageAtom& target, SrcRange site,
 
 std::optional<StageAtom> Checker::array_atom(Ctx& ctx, Expr& e) {
   if (e.kind != ExprKind::VarRef) {
-    ctx.diags->error(e.range, "sema-array-operand",
+    diags_.error(e.range, "sema-array-operand",
                  "the first argument of an Array method must name a global "
                  "array or an Array parameter");
     ctx.ok = false;
@@ -572,7 +526,7 @@ std::optional<StageAtom> Checker::array_atom(Ctx& ctx, Expr& e) {
                              "access to array parameter '" + ref->name + "'",
                              e.range);
   }
-  ctx.diags->error(e.range, "sema-unknown-array",
+  diags_.error(e.range, "sema-unknown-array",
                "'" + ref->name + "' is not a global array" +
                    (ctx.sig ? " or Array parameter" : ""));
   ctx.ok = false;
@@ -601,14 +555,14 @@ Type Checker::check_expr(Ctx& ctx, Expr& e, int expected_width) {
       const Type sub = check_expr(ctx, *u->sub, expected_width);
       if (u->op == UnOp::Not) {
         if (!sub.is_bool()) {
-          ctx.diags->error(e.range, "type-expected-bool",
+          diags_.error(e.range, "type-expected-bool",
                        "'!' requires a bool operand, found " + sub.str());
           ctx.ok = false;
         }
         e.type = Type::bool_ty();
       } else {
         if (!sub.is_int()) {
-          ctx.diags->error(e.range, "type-expected-int",
+          diags_.error(e.range, "type-expected-int",
                        std::string(unop_name(u->op)) +
                            " requires an int operand, found " + sub.str());
           ctx.ok = false;
@@ -659,7 +613,7 @@ Type Checker::check_var_ref(Ctx& ctx, VarRefExpr& e, int expected_width) {
     e.type = Type::unknown();  // only meaningful in Array-call positions
     return e.type;
   }
-  ctx.diags->error(e.range, "sema-undefined",
+  diags_.error(e.range, "sema-undefined",
                "use of undefined name '" + e.name + "'");
   ctx.ok = false;
   e.type = Type::unknown();
@@ -671,7 +625,7 @@ Type Checker::check_binary(Ctx& ctx, BinaryExpr& e, int expected_width) {
     const Type l = check_expr(ctx, *e.lhs);
     const Type r = check_expr(ctx, *e.rhs);
     if (!l.is_bool() || !r.is_bool()) {
-      ctx.diags->error(e.range, "type-expected-bool",
+      diags_.error(e.range, "type-expected-bool",
                    std::string(binop_name(e.op)) +
                        " requires bool operands, found " + l.str() + " and " +
                        r.str());
@@ -697,13 +651,13 @@ Type Checker::check_binary(Ctx& ctx, BinaryExpr& e, int expected_width) {
     }
   }
   if (!l.is_int() || !r.is_int()) {
-    ctx.diags->error(e.range, "type-expected-int",
+    diags_.error(e.range, "type-expected-int",
                  std::string(binop_name(e.op)) +
                      " requires int operands, found " + l.str() + " and " +
                      r.str());
     ctx.ok = false;
   } else if (l.width != r.width) {
-    ctx.diags->error(e.range, "type-width-mismatch",
+    diags_.error(e.range, "type-width-mismatch",
                  "operand widths differ: " + l.str() + " vs " + r.str());
     ctx.ok = false;
   }
@@ -715,7 +669,7 @@ bool Checker::check_memop_arg(Ctx& ctx, Expr& e,
                               const GlobalDecl* array_hint) {
   (void)array_hint;
   if (e.kind != ExprKind::VarRef) {
-    ctx.diags->error(e.range, "sema-expected-memop",
+    diags_.error(e.range, "sema-expected-memop",
                  "expected a memop name in this argument position");
     ctx.ok = false;
     return false;
@@ -723,7 +677,7 @@ bool Checker::check_memop_arg(Ctx& ctx, Expr& e,
   auto* ref = e.as<VarRefExpr>();
   const auto it = memops_.find(ref->name);
   if (it == memops_.end()) {
-    ctx.diags->error(e.range, "sema-expected-memop",
+    diags_.error(e.range, "sema-expected-memop",
                  "'" + ref->name + "' is not a declared memop");
     ctx.ok = false;
     return false;
@@ -741,7 +695,7 @@ Type Checker::check_array_call(Ctx& ctx, CallExpr& e) {
   const bool memop_required = m == "Array.getm" || m == "Array.setm";
 
   if (e.args.empty()) {
-    ctx.diags->error(e.range, "sema-arity", m + " requires arguments");
+    diags_.error(e.range, "sema-arity", m + " requires arguments");
     ctx.ok = false;
     e.type = Type::unknown();
     return e.type;
@@ -763,14 +717,14 @@ Type Checker::check_array_call(Ctx& ctx, CallExpr& e) {
 
   // Index argument.
   if (e.args.size() < 2) {
-    ctx.diags->error(e.range, "sema-arity", m + " requires an index argument");
+    diags_.error(e.range, "sema-arity", m + " requires an index argument");
     ctx.ok = false;
     e.type = Type::unknown();
     return e.type;
   }
   const Type idx_t = check_expr(ctx, *e.args[1]);
   if (!idx_t.is_int()) {
-    ctx.diags->error(e.args[1]->range, "type-expected-int",
+    diags_.error(e.args[1]->range, "type-expected-int",
                  "array index must be an int, found " + idx_t.str());
     ctx.ok = false;
   }
@@ -778,7 +732,7 @@ Type Checker::check_array_call(Ctx& ctx, CallExpr& e) {
   auto check_value_at = [&](std::size_t i) {
     const Type t = check_expr(ctx, *e.args[i], cell_width);
     if (!t.is_int()) {
-      ctx.diags->error(e.args[i]->range, "type-expected-int",
+      diags_.error(e.args[i]->range, "type-expected-int",
                    "array operand must be an int, found " + t.str());
       ctx.ok = false;
     }
@@ -788,7 +742,7 @@ Type Checker::check_array_call(Ctx& ctx, CallExpr& e) {
     e.resolved = m == "Array.get" ? CallKind::ArrayGet : CallKind::ArrayGetm;
     if (e.args.size() == 2) {
       if (memop_required) {
-        ctx.diags->error(e.range, "sema-arity",
+        diags_.error(e.range, "sema-arity",
                      "Array.getm requires a memop and argument "
                      "(use Array.get for a plain read)");
         ctx.ok = false;
@@ -796,7 +750,7 @@ Type Checker::check_array_call(Ctx& ctx, CallExpr& e) {
     } else if (e.args.size() == 4) {
       if (check_memop_arg(ctx, *e.args[2], gd)) check_value_at(3);
     } else {
-      ctx.diags->error(e.range, "sema-arity",
+      diags_.error(e.range, "sema-arity",
                    m + " takes (array, index) or (array, index, memop, arg)");
       ctx.ok = false;
     }
@@ -805,7 +759,7 @@ Type Checker::check_array_call(Ctx& ctx, CallExpr& e) {
     e.resolved = m == "Array.set" ? CallKind::ArraySet : CallKind::ArraySetm;
     if (e.args.size() == 3) {
       if (memop_required) {
-        ctx.diags->error(e.range, "sema-arity",
+        diags_.error(e.range, "sema-arity",
                      "Array.setm requires a memop and argument "
                      "(use Array.set for a plain write)");
         ctx.ok = false;
@@ -815,7 +769,7 @@ Type Checker::check_array_call(Ctx& ctx, CallExpr& e) {
     } else if (e.args.size() == 4) {
       if (check_memop_arg(ctx, *e.args[2], gd)) check_value_at(3);
     } else {
-      ctx.diags->error(e.range, "sema-arity",
+      diags_.error(e.range, "sema-arity",
                    m + " takes (array, index, value) or (array, index, "
                        "memop, arg)");
       ctx.ok = false;
@@ -829,14 +783,14 @@ Type Checker::check_array_call(Ctx& ctx, CallExpr& e) {
       const bool set_ok = check_memop_arg(ctx, *e.args[4], gd);
       if (set_ok) check_value_at(5);
     } else {
-      ctx.diags->error(e.range, "sema-arity",
+      diags_.error(e.range, "sema-arity",
                    "Array.update takes (array, index, get_memop, get_arg, "
                    "set_memop, set_arg)");
       ctx.ok = false;
     }
     e.type = Type::int_ty(cell_width);
   } else {
-    ctx.diags->error(e.range, "sema-unknown-builtin",
+    diags_.error(e.range, "sema-unknown-builtin",
                  "unknown Array method '" + m + "'");
     ctx.ok = false;
     e.type = Type::unknown();
@@ -852,7 +806,7 @@ Type Checker::check_array_call(Ctx& ctx, CallExpr& e) {
 
 Type Checker::check_event_combinator(Ctx& ctx, CallExpr& e) {
   if (e.args.size() != 2) {
-    ctx.diags->error(e.range, "sema-arity",
+    diags_.error(e.range, "sema-arity",
                  e.callee + " takes (event, argument)");
     ctx.ok = false;
     e.type = Type::event_ty();
@@ -860,7 +814,7 @@ Type Checker::check_event_combinator(Ctx& ctx, CallExpr& e) {
   }
   const Type ev = check_expr(ctx, *e.args[0]);
   if (!ev.is_event()) {
-    ctx.diags->error(e.args[0]->range, "type-expected-event",
+    diags_.error(e.args[0]->range, "type-expected-event",
                  e.callee + " expects an event, found " + ev.str());
     ctx.ok = false;
   }
@@ -868,7 +822,7 @@ Type Checker::check_event_combinator(Ctx& ctx, CallExpr& e) {
     e.resolved = CallKind::EventDelay;
     const Type t = check_expr(ctx, *e.args[1]);
     if (!t.is_int()) {
-      ctx.diags->error(e.args[1]->range, "type-expected-int",
+      diags_.error(e.args[1]->range, "type-expected-int",
                    "Event.delay expects a time in ns, found " + t.str());
       ctx.ok = false;
     }
@@ -876,7 +830,7 @@ Type Checker::check_event_combinator(Ctx& ctx, CallExpr& e) {
     e.resolved = CallKind::EventLocate;
     const Type t = check_expr(ctx, *e.args[1]);
     if (!t.is_int() && t.kind != TypeKind::Group) {
-      ctx.diags->error(e.args[1]->range, "type-expected-location",
+      diags_.error(e.args[1]->range, "type-expected-location",
                    "Event.locate expects a switch id or group, found " +
                        t.str());
       ctx.ok = false;
@@ -896,7 +850,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
   if (name == "Sys.time") {
     e.resolved = CallKind::SysTime;
     if (!e.args.empty()) {
-      ctx.diags->error(e.range, "sema-arity", "Sys.time takes no arguments");
+      diags_.error(e.range, "sema-arity", "Sys.time takes no arguments");
       ctx.ok = false;
     }
     e.type = Type::int_ty(32);
@@ -905,7 +859,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
   if (name == "Sys.self") {
     e.resolved = CallKind::SysSelf;
     if (!e.args.empty()) {
-      ctx.diags->error(e.range, "sema-arity", "Sys.self takes no arguments");
+      diags_.error(e.range, "sema-arity", "Sys.self takes no arguments");
       ctx.ok = false;
     }
     e.type = Type::int_ty(32);
@@ -914,14 +868,14 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
   if (name == "hash") {
     e.resolved = CallKind::Hash;
     if (e.args.empty()) {
-      ctx.diags->error(e.range, "sema-arity",
+      diags_.error(e.range, "sema-arity",
                    "hash takes a seed and at least one value");
       ctx.ok = false;
     }
     for (auto& a : e.args) {
       const Type t = check_expr(ctx, *a);
       if (!t.is_int()) {
-        ctx.diags->error(a->range, "type-expected-int",
+        diags_.error(a->range, "type-expected-int",
                      "hash arguments must be ints, found " + t.str());
         ctx.ok = false;
       }
@@ -935,7 +889,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
     e.resolved = CallKind::EventCtor;
     const auto& params = it->second->params;
     if (e.args.size() != params.size()) {
-      ctx.diags->error(e.range, "sema-arity",
+      diags_.error(e.range, "sema-arity",
                    "event '" + name + "' takes " +
                        std::to_string(params.size()) + " arguments, found " +
                        std::to_string(e.args.size()));
@@ -946,7 +900,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
       if (!(t == params[i].type) &&
           !(t.is_int() && params[i].type.is_int() &&
             e.args[i]->kind == ExprKind::IntLit)) {
-        ctx.diags->error(e.args[i]->range, "type-event-arg",
+        diags_.error(e.args[i]->range, "type-event-arg",
                      "argument " + std::to_string(i + 1) + " of event '" +
                          name + "' expects " + params[i].type.str() +
                          ", found " + t.str());
@@ -962,7 +916,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
     FunInfo& fi = it->second;
     e.resolved = CallKind::UserFun;
     if (fi.in_progress) {
-      ctx.diags->error(e.range, "sema-recursion",
+      diags_.error(e.range, "sema-recursion",
                    "recursive functions are not supported in the data plane; "
                    "use a recursive event instead (section 3.1)");
       ctx.ok = false;
@@ -973,7 +927,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
 
     const auto& params = fi.decl->params;
     if (e.args.size() != params.size()) {
-      ctx.diags->error(e.range, "sema-arity",
+      diags_.error(e.range, "sema-arity",
                    "function '" + name + "' takes " +
                        std::to_string(params.size()) + " arguments, found " +
                        std::to_string(e.args.size()));
@@ -1000,7 +954,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
         }
         if (e.args[i]->type.kind == TypeKind::Array &&
             e.args[i]->type.width != params[i].type.width) {
-          ctx.diags->error(e.args[i]->range, "type-width-mismatch",
+          diags_.error(e.args[i]->range, "type-width-mismatch",
                        "array argument width " +
                            std::to_string(e.args[i]->type.width) +
                            " does not match parameter width " +
@@ -1012,7 +966,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
         if (!(t == params[i].type) &&
             !(t.is_int() && params[i].type.is_int() &&
               e.args[i]->kind == ExprKind::IntLit)) {
-          ctx.diags->error(e.args[i]->range, "type-fun-arg",
+          diags_.error(e.args[i]->range, "type-fun-arg",
                        "argument " + std::to_string(i + 1) + " of '" + name +
                            "' expects " + params[i].type.str() + ", found " +
                            t.str());
@@ -1037,7 +991,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
   }
 
   if (memops_.count(name)) {
-    ctx.diags->error(e.range, "sema-memop-call",
+    diags_.error(e.range, "sema-memop-call",
                  "memop '" + name +
                      "' cannot be called directly; pass it to an Array "
                      "method (section 4.2)");
@@ -1046,7 +1000,7 @@ Type Checker::check_call(Ctx& ctx, CallExpr& e) {
     return e.type;
   }
 
-  ctx.diags->error(e.range, "sema-undefined",
+  diags_.error(e.range, "sema-undefined",
                "call to undefined function or event '" + name + "'");
   ctx.ok = false;
   e.type = Type::unknown();
@@ -1074,18 +1028,18 @@ bool Checker::check_stmt(Ctx& ctx, Stmt& s) {
       const Type t = check_expr(ctx, *d->init, d->declared_type.width);
       if (d->declared_type.kind == TypeKind::Event) {
         if (!t.is_event()) {
-          ctx.diags->error(d->init->range, "type-expected-event",
+          diags_.error(d->init->range, "type-expected-event",
                        "initializer must be an event, found " + t.str());
           ctx.ok = false;
         }
       } else if (d->declared_type.is_int()) {
         if (!t.is_int()) {
-          ctx.diags->error(d->init->range, "type-expected-int",
+          diags_.error(d->init->range, "type-expected-int",
                        "initializer must be an int, found " + t.str());
           ctx.ok = false;
         } else if (t.width != d->declared_type.width &&
                    d->init->kind != ExprKind::IntLit) {
-          ctx.diags->error(d->init->range, "type-width-mismatch",
+          diags_.error(d->init->range, "type-width-mismatch",
                        "initializer width " + std::to_string(t.width) +
                            " does not match declared width " +
                            std::to_string(d->declared_type.width));
@@ -1093,7 +1047,7 @@ bool Checker::check_stmt(Ctx& ctx, Stmt& s) {
         }
       } else if (d->declared_type.is_bool()) {
         if (!t.is_bool()) {
-          ctx.diags->error(d->init->range, "type-expected-bool",
+          diags_.error(d->init->range, "type-expected-bool",
                        "initializer must be a bool, found " + t.str());
           ctx.ok = false;
         }
@@ -1105,7 +1059,7 @@ bool Checker::check_stmt(Ctx& ctx, Stmt& s) {
       auto* a = s.as<AssignStmt>();
       const Type* t = lookup_local(ctx, a->name);
       if (t == nullptr) {
-        ctx.diags->error(s.range, "sema-undefined",
+        diags_.error(s.range, "sema-undefined",
                      "assignment to undefined variable '" + a->name + "'");
         ctx.ok = false;
         (void)check_expr(ctx, *a->value);
@@ -1114,13 +1068,13 @@ bool Checker::check_stmt(Ctx& ctx, Stmt& s) {
       const Type vt = check_expr(ctx, *a->value, t->width);
       if (t->is_int() && vt.is_int()) {
         if (t->width != vt.width && a->value->kind != ExprKind::IntLit) {
-          ctx.diags->error(a->value->range, "type-width-mismatch",
+          diags_.error(a->value->range, "type-width-mismatch",
                        "assignment width mismatch: " + t->str() + " vs " +
                            vt.str());
           ctx.ok = false;
         }
       } else if (!(vt == *t)) {
-        ctx.diags->error(a->value->range, "type-mismatch",
+        diags_.error(a->value->range, "type-mismatch",
                      "cannot assign " + vt.str() + " to " + t->str());
         ctx.ok = false;
       }
@@ -1130,7 +1084,7 @@ bool Checker::check_stmt(Ctx& ctx, Stmt& s) {
       auto* i = s.as<IfStmt>();
       const Type c = check_expr(ctx, *i->cond);
       if (!c.is_bool()) {
-        ctx.diags->error(i->cond->range, "type-expected-bool",
+        diags_.error(i->cond->range, "type-expected-bool",
                      "if condition must be a bool, found " + c.str());
         ctx.ok = false;
       }
@@ -1164,7 +1118,7 @@ bool Checker::check_stmt(Ctx& ctx, Stmt& s) {
       auto* g = s.as<GenerateStmt>();
       const Type t = check_expr(ctx, *g->event);
       if (!t.is_event()) {
-        ctx.diags->error(g->event->range, "type-expected-event",
+        diags_.error(g->event->range, "type-expected-event",
                      "generate expects an event, found " + t.str());
         ctx.ok = false;
       }
@@ -1174,7 +1128,7 @@ bool Checker::check_stmt(Ctx& ctx, Stmt& s) {
       auto* r = s.as<ReturnStmt>();
       if (ctx.in_handler) {
         if (r->value) {
-          ctx.diags->error(s.range, "type-handler-return",
+          diags_.error(s.range, "type-handler-return",
                        "handlers do not return values");
           ctx.ok = false;
         }
@@ -1182,13 +1136,13 @@ bool Checker::check_stmt(Ctx& ctx, Stmt& s) {
       }
       if (ctx.return_type.kind == TypeKind::Void) {
         if (r->value) {
-          ctx.diags->error(s.range, "type-return-mismatch",
+          diags_.error(s.range, "type-return-mismatch",
                        "void function returns a value");
           ctx.ok = false;
         }
       } else {
         if (!r->value) {
-          ctx.diags->error(s.range, "type-return-mismatch",
+          diags_.error(s.range, "type-return-mismatch",
                        "non-void function must return a value");
           ctx.ok = false;
         } else {
@@ -1196,7 +1150,7 @@ bool Checker::check_stmt(Ctx& ctx, Stmt& s) {
           if (!(t == ctx.return_type) &&
               !(t.is_int() && ctx.return_type.is_int() &&
                 r->value->kind == ExprKind::IntLit)) {
-            ctx.diags->error(r->value->range, "type-return-mismatch",
+            diags_.error(r->value->range, "type-return-mismatch",
                          "return type " + t.str() + " does not match " +
                              ctx.return_type.str());
             ctx.ok = false;
@@ -1217,10 +1171,7 @@ void Checker::check_fun(FunInfo& fi) {
   fi.in_progress = true;
   FunDecl& f = *fi.decl;
 
-  // Funs are only ever checked serially (run() forces them all before the
-  // parallel body phase), so they report straight to the compilation engine.
   Ctx ctx;
-  ctx.diags = &diags_;
   ctx.owner = f.name;
   ctx.sig = &fi.sig;
   ctx.return_type = f.return_type;
@@ -1251,23 +1202,21 @@ void Checker::check_fun(FunInfo& fi) {
   if (!ctx.ok) ok_ = false;
 }
 
-void Checker::check_handler(HandlerDecl& h, DiagnosticEngine& diags, bool& ok,
-                            std::optional<int>& end_stage) {
+void Checker::check_handler(HandlerDecl& h) {
   Ctx ctx;
-  ctx.diags = &diags;
   ctx.owner = h.name;
   ctx.in_handler = true;
   ctx.cur = EffectTerm::concrete(0);
 
   const auto ev = events_.find(h.name);
   if (ev == events_.end()) {
-    ctx.diags->error(h.range, "sema-handler-without-event",
+    diags_.error(h.range, "sema-handler-without-event",
                  "handler '" + h.name + "' has no matching event declaration");
     ctx.ok = false;
   } else {
     const auto& ep = ev->second->params;
     if (ep.size() != h.params.size()) {
-      ctx.diags->error(h.range, "sema-handler-signature",
+      diags_.error(h.range, "sema-handler-signature",
                    "handler '" + h.name + "' takes " +
                        std::to_string(h.params.size()) +
                        " parameters but event declares " +
@@ -1276,7 +1225,7 @@ void Checker::check_handler(HandlerDecl& h, DiagnosticEngine& diags, bool& ok,
     } else {
       for (std::size_t i = 0; i < ep.size(); ++i) {
         if (!(ep[i].type == h.params[i].type)) {
-          ctx.diags->error(h.params[i].range, "sema-handler-signature",
+          diags_.error(h.params[i].range, "sema-handler-signature",
                        "parameter " + std::to_string(i + 1) + " of handler '" +
                            h.name + "' has type " + h.params[i].type.str() +
                            " but event declares " + ep[i].type.str());
@@ -1292,9 +1241,9 @@ void Checker::check_handler(HandlerDecl& h, DiagnosticEngine& diags, bool& ok,
   pop_scope(ctx);
 
   if (const auto end = ctx.cur.concrete_value()) {
-    end_stage = *end;
+    info_.handler_end_stage[h.name] = *end;
   }
-  if (!ctx.ok) ok = false;
+  if (!ctx.ok) ok_ = false;
 }
 
 }  // namespace
@@ -1302,7 +1251,7 @@ void Checker::check_handler(HandlerDecl& h, DiagnosticEngine& diags, bool& ok,
 bool TypeChecker::check(Program& program, const SemaReuse* reuse) {
   info_ = AnalysisInfo{};
   decls_reused_ = 0;
-  Checker checker(program, diags_, info_, reuse, workers_);
+  Checker checker(program, diags_, info_, reuse);
   const bool ok = checker.run();
   decls_reused_ = checker.decls_reused();
   return ok;

@@ -49,8 +49,7 @@ struct SemaReuse {
 
 class TypeChecker {
  public:
-  explicit TypeChecker(DiagnosticEngine& diags, int workers = 1)
-      : diags_(diags), workers_(workers) {}
+  explicit TypeChecker(DiagnosticEngine& diags) : diags_(diags) {}
 
   /// Checks and annotates `program` in place. Returns true on success.
   bool check(frontend::Program& program) { return check(program, nullptr); }
@@ -72,10 +71,6 @@ class TypeChecker {
   DiagnosticEngine& diags_;
   AnalysisInfo info_;
   std::size_t decls_reused_ = 0;
-  // Worker threads for the per-decl body-check phase. <= 1 checks inline;
-  // any count produces byte-identical diagnostics and annotations (per-task
-  // engines merged in a deterministic task order).
-  int workers_ = 1;
 };
 
 /// Convenience: parse + check. On failure `ok` is false and `diags` holds

@@ -1,9 +1,5 @@
-// Shared work-stealing parallel loop.
-//
-// One primitive serves every parallel site in the tree: the sweep engine's
-// variant-layout and emission fan-outs, and the per-decl parallel Sema phase
-// (sema/type_check). Header-only so low layers (sema) can use it without a
-// dependency on core.
+// WorkerPool: the library's one thread fan-out (the native ReplicaFleet's
+// per-slice shard loop). Header-only, with no dependency on core.
 #pragma once
 
 #include <algorithm>
@@ -18,36 +14,11 @@
 
 namespace lucid {
 
-/// Runs `fn(0..n-1)` across up to `workers` threads (inline when n or
-/// workers is <= 1). Indices are handed out by an atomic counter, so call
-/// costs may be arbitrarily uneven.
-inline void parallel_for(std::size_t n, int workers,
-                         const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t pool = std::min<std::size_t>(
-      n, workers > 1 ? static_cast<std::size_t>(workers) : 1);
-  if (pool <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> threads;
-  threads.reserve(pool);
-  for (std::size_t t = 0; t < pool; ++t) {
-    threads.emplace_back([&]() {
-      for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        fn(i);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-}
-
-/// A persistent worker pool for repeated parallel loops. parallel_for spawns
-/// and joins a thread per call, which is fine for one-shot fan-outs (sweeps,
-/// parallel Sema) but too heavy for callers that issue many short rounds —
-/// the native ReplicaFleet drives one `run` per run-slice, thousands per
-/// soak. Threads are spawned once; each `run` is a wakeup + index handout.
+/// A persistent worker pool for repeated parallel loops. Threads are spawned
+/// once and each `run` is a wakeup + index handout, so callers that issue
+/// many short rounds stay cheap — the native ReplicaFleet drives one `run`
+/// per run-slice, thousands per soak. Indices are handed out by an atomic
+/// counter, so call costs may be arbitrarily uneven.
 ///
 /// The calling thread participates in the loop, so a pool built with
 /// `workers <= 1` holds no threads and `run` degrades to an inline loop.

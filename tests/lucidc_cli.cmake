@@ -16,9 +16,13 @@ endfunction()
 expect_exit(0 --emit=p4 ${INPUT})
 expect_exit(0 --stop-after=sema ${INPUT})
 expect_exit(0 --time-passes=json ${INPUT})
+expect_exit(0 --sweep=stages=4,8 ${INPUT})
+expect_exit(0 --fit=stages=1..20 ${INPUT})
 expect_exit(2 --no-such-flag ${INPUT})
-# Removed: the demo modes (now examples/runtime_demo.cpp) and the legacy
-# aliases of --emit=p4 and --stop-after=sema.
-foreach(removed --ctrl-demo --native-demo --native-shards=4 --p4 --check)
+# Removed: the demo modes (now examples/runtime_demo.cpp), the legacy
+# aliases of --emit=p4 and --stop-after=sema, and the worker-count flags of
+# the (now serial) sweep and Sema.
+foreach(removed --ctrl-demo --native-demo --native-shards=4 --p4 --check
+                --sema-workers=4 --jobs=4)
   expect_exit(2 ${removed} ${INPUT})
 endforeach()

@@ -1,9 +1,10 @@
-// Concurrency suite for the parallel front end (run under ThreadSanitizer
-// by the debug-tsan preset via `ctest -L concurrency`).
+// Concurrency suite for the front end shared across caller threads (run
+// under ThreadSanitizer by the debug-tsan preset via `ctest -L concurrency`).
+// The front end itself is serial; what must be race-free is many threads
+// compiling at once:
 //
-// What must be race-free:
-//
-//   * Sema's per-decl body checks on the worker pool — including the
+//   * independent compilations running Sema side by side — the obs span
+//     hooks and the backend registry are process-wide — including the
 //     conditional header-annotation writes on decls shared (spliced) with a
 //     previous compilation;
 //   * many recompiles splicing from ONE shared prev concurrently: the span
@@ -55,28 +56,35 @@ std::string edit_first_handler(const std::string& source, int salt) {
   return out;
 }
 
-TEST(FrontendConcurrency, ParallelSemaBodyChecksAreRaceFree) {
-  // 8 workers on a 10-handler app: the pool races body checks, per-task
-  // diagnostic engines, and the obs span hooks.
-  for (const apps::AppSpec& spec : apps::all_apps()) {
-    DriverOptions opts;
-    opts.program_name = spec.key;
-    opts.sema_workers = 8;
-    const CompilerDriver driver(opts, &test_registry());
-    const CompilationPtr c = driver.run(spec.source, Stage::Layout);
-    ASSERT_TRUE(c->ok()) << spec.key << "\n" << c->diags().render();
+TEST(FrontendConcurrency, ConcurrentCompilesOfTheAppsAreRaceFree) {
+  // One thread per paper app, all compiling at once: their Sema runs race
+  // the obs span hooks and the shared registry.
+  const std::vector<apps::AppSpec>& specs = apps::all_apps();
+  std::vector<CompilationPtr> comps(specs.size());
+  std::vector<std::thread> threads;
+  threads.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    threads.emplace_back([&, i] {
+      DriverOptions opts;
+      opts.program_name = specs[i].key;
+      const CompilerDriver driver(opts, &test_registry());
+      comps[i] = driver.run(specs[i].source, Stage::Layout);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(comps[i]->ok()) << specs[i].key << "\n"
+                                << comps[i]->diags().render();
   }
 }
 
 TEST(FrontendConcurrency, ManyRecompilesSpliceFromOneSharedPrev) {
   // prev is compiled cold and its lazy caches (span table, fingerprints,
   // Phase A analysis) are NOT warmed — all 8 threads race the call_onces,
-  // splice prev's decl nodes, and re-check their own dirty decl with
-  // parallel Sema on top.
+  // splice prev's decl nodes, and re-check their own dirty decl.
   const apps::AppSpec& spec = apps::app("SFW");
   DriverOptions opts;
   opts.program_name = spec.key;
-  opts.sema_workers = 4;
   const CompilerDriver driver(opts, &test_registry());
   const CompilationPtr prev = driver.run(spec.source, Stage::Layout);
   ASSERT_TRUE(prev->ok()) << prev->diags().render();

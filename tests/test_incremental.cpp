@@ -722,7 +722,6 @@ TEST(Fit, BisectionMatchesALinearScan) {
   FitOptions opts;
   opts.spec = *parse_fit_spec("stages=1..20");
   opts.program_name = spec.key;
-  opts.workers = 2;
   const FitReport report =
       SweepEngine(&test_registry()).fit(spec.source, opts);
   ASSERT_TRUE(report.ok) << report.str();

@@ -1,6 +1,6 @@
 // The incremental front end: the decl-span scanner, AST splicing, the
 // per-compilation span cache, the synthetic program generator, and the
-// parallel Sema body checks.
+// order of Sema's body-check diagnostics.
 //
 // The load-bearing guarantees:
 //
@@ -16,8 +16,8 @@
 //     generated programs here;
 //   * frontend::generate_program is deterministic (same config -> same
 //     bytes, on every platform);
-//   * Sema with N workers produces byte-identical diagnostics and artifacts
-//     for every N, clean programs and error programs alike.
+//   * Sema reports body-check errors in decl order (memops, then handlers
+//     in declaration order), identically on every run.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -430,34 +430,11 @@ TEST(Progen, GeneratedEditsMatchColdByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel Sema determinism
+// Sema diagnostic order
 // ---------------------------------------------------------------------------
 
-TEST(ParallelSema, WorkerCountNeverChangesArtifactsOnTheApps) {
-  for (const apps::AppSpec& spec : apps::all_apps()) {
-    SCOPED_TRACE(spec.key);
-    DriverOptions serial_opts;
-    serial_opts.program_name = spec.key;
-    DriverOptions par_opts = serial_opts;
-    par_opts.sema_workers = 8;
-    const CompilerDriver serial(serial_opts, &test_registry());
-    const CompilerDriver parallel(par_opts, &test_registry());
-
-    const CompilationPtr a = serial.run(spec.source, Stage::Layout);
-    const CompilationPtr b = parallel.run(spec.source, Stage::Layout);
-    ASSERT_TRUE(a->ok()) << a->diags().render();
-    ASSERT_TRUE(b->ok()) << b->diags().render();
-    EXPECT_EQ(diag_transcript(*a), diag_transcript(*b));
-    const BackendArtifact pa = serial.emit(a, "p4");
-    const BackendArtifact pb = parallel.emit(b, "p4");
-    ASSERT_TRUE(pa.ok && pb.ok);
-    EXPECT_EQ(pa.text, pb.text);
-  }
-}
-
-TEST(ParallelSema, DiagnosticsAreDeterministicAcrossWorkerCounts) {
-  // Errors in several decl bodies: the merged transcript must come out in
-  // decl order regardless of which worker finishes first.
+TEST(SemaDiagnostics, BodyErrorsAreReportedInDeclOrder) {
+  // Errors in several decl bodies: every one is reported, in decl order.
   const std::string bad =
       "const int K = 3;\n"
       "global a = new Array<<32>>(8);\n"
@@ -466,23 +443,19 @@ TEST(ParallelSema, DiagnosticsAreDeterministicAcrossWorkerCounts) {
       "handle e0(int i) { int v = nope2; }\n"
       "handle e1(int i) { Array.set(a, i & 7, m, K); }\n"
       "handle e2(int i) { int w = nope3 + nope4; }\n";
+  const CompilerDriver driver(DriverOptions{}, &test_registry());
   std::string reference;
-  for (const int workers : {1, 2, 5, 8}) {
-    SCOPED_TRACE(workers);
-    DriverOptions opts;
-    opts.sema_workers = workers;
-    const CompilerDriver driver(opts, &test_registry());
-    for (int rep = 0; rep < 3; ++rep) {
-      const CompilationPtr c = driver.run(bad, Stage::Sema);
-      EXPECT_FALSE(c->ok());
-      if (reference.empty()) reference = diag_transcript(*c);
-      EXPECT_EQ(diag_transcript(*c), reference);
-      EXPECT_NE(reference.find("nope1"), std::string::npos);
-      EXPECT_NE(reference.find("nope4"), std::string::npos);
-      // decl order, not completion order: nope2 (e0) before nope3 (e2).
-      EXPECT_LT(reference.find("nope2"), reference.find("nope3"));
-    }
+  for (int rep = 0; rep < 3; ++rep) {
+    const CompilationPtr c = driver.run(bad, Stage::Sema);
+    EXPECT_FALSE(c->ok());
+    if (reference.empty()) reference = diag_transcript(*c);
+    EXPECT_EQ(diag_transcript(*c), reference);
   }
+  for (const char* name : {"nope1", "nope2", "nope3", "nope4"}) {
+    EXPECT_NE(reference.find(name), std::string::npos) << name;
+  }
+  // nope2 (handler e0) before nope3 (handler e2).
+  EXPECT_LT(reference.find("nope2"), reference.find("nope3"));
 }
 
 }  // namespace

@@ -5,13 +5,14 @@
 // event counters versus the same run with tracing off (see tests/README.md).
 //
 // The *Concurrency tests carry the "concurrency" CTest label: the debug-tsan
-// preset races the tracer's enable/disable/export against the sweep engine's
-// worker pool and the interpreter's trace-hook attach/detach.
+// preset races the tracer's enable/disable/export against recording threads,
+// concurrent sweeps and the interpreter's trace-hook attach/detach.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/apps.hpp"
@@ -20,6 +21,7 @@
 #include "native/differential.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/parallel.hpp"
 
 namespace lucid {
 namespace {
@@ -342,15 +344,16 @@ TEST(ObsNoEffect, TracingLeavesRegisterStateByteIdentical) {
 // Concurrency (ctest -L concurrency; raced under TSan by the tsan preset)
 // ---------------------------------------------------------------------------
 
-// Histogram and counter updates from the sweep engine's worker pool must be
-// lock-free-correct: no lost updates, no torn reads.
+// Histogram and counter updates from a worker pool must be lock-free-correct:
+// no lost updates, no torn reads.
 TEST(ObsConcurrency, LockFreeUpdatesFromWorkerPool) {
   Registry reg;
   Counter& c = reg.counter("race_total");
   Histogram& h = reg.histogram("race_ns");
   constexpr std::size_t kIters = 64;
   constexpr std::uint64_t kPerIter = 1000;
-  parallel_for(kIters, 8, [&](std::size_t i) {
+  WorkerPool pool(8);
+  pool.run(kIters, [&](std::size_t i) {
     for (std::uint64_t v = 0; v < kPerIter; ++v) {
       c.add();
       h.observe(i * kPerIter + v);
@@ -372,32 +375,34 @@ TEST(ObsConcurrency, EnableDisableExportUnderConcurrentRecording) {
   cfg.ring_capacity = 256;
   t.enable(cfg);
   std::atomic<bool> stop{false};
-  parallel_for(9, 9, [&](std::size_t i) {
-    if (i == 0) {  // the control thread: toggle, export, clear
-      for (int round = 0; round < 50; ++round) {
-        t.disable();
-        const std::string js = t.chrome_json();
-        EXPECT_EQ(js.find("{\"traceEvents\": ["), 0u);
-        t.enable(cfg);
-        if (round % 10 == 9) t.clear();
+  std::vector<std::thread> recorders;
+  for (std::int64_t i = 1; i <= 8; ++i) {
+    recorders.emplace_back([&, i] {
+      while (!stop.load(std::memory_order_acquire)) {
+        obs::ScopedSpan span("race", "worker");
+        span.arg("i", i);
+        t.mark("race", "tick", "i", i);
       }
-      stop.store(true, std::memory_order_release);
-      return;
-    }
-    while (!stop.load(std::memory_order_acquire)) {
-      obs::ScopedSpan span("race", "worker");
-      span.arg("i", static_cast<std::int64_t>(i));
-      t.mark("race", "tick", "i", static_cast<std::int64_t>(i));
-    }
-  });
+    });
+  }
+  // This thread is the control thread: toggle, export, clear.
+  for (int round = 0; round < 50; ++round) {
+    t.disable();
+    const std::string js = t.chrome_json();
+    EXPECT_EQ(js.find("{\"traceEvents\": ["), 0u);
+    t.enable(cfg);
+    if (round % 10 == 9) t.clear();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& th : recorders) th.join();
   t.disable();
   // Whatever survived the final clear must still export cleanly.
   const std::string js = t.chrome_json();
   EXPECT_NE(js.find("\"displayTimeUnit\""), std::string::npos);
 }
 
-// The interpreter's per-runtime trace hook attaches and detaches while sweep
-// engines churn the worker pool on other threads; hooks may themselves call
+// The interpreter's per-runtime trace hook attaches and detaches while
+// several sweeps run at once on other threads; hooks may themselves call
 // into the global tracer.
 TEST(ObsConcurrency, TraceHookAttachDetachUnderConcurrentSweeps) {
   TracerGuard guard;
@@ -408,16 +413,17 @@ TEST(ObsConcurrency, TraceHookAttachDetachUnderConcurrentSweeps) {
 
   const auto& specs = apps::all_apps();
   const std::size_t n = std::min<std::size_t>(specs.size(), 6);
-  parallel_for(n, 3, [&](std::size_t i) {
+  // One thread per lane, so the sweep lanes run concurrently with each other
+  // and with the interp lanes.
+  const auto lane = [&](std::size_t i) {
     const apps::AppSpec& spec = specs[i];
     if (i % 2 == 0) {
-      // Sweep lane: the engine fans layout + emission across its own pool
-      // while other lanes trace through the interpreter.
+      // Sweep lane: layout + emission of every variant while other lanes
+      // trace through the interpreter.
       const SweepEngine engine(&test_registry());
       SweepOptions opts;
       opts.variants = *parse_sweep_grid("stages=8,12");
       opts.backends = {"p4"};
-      opts.workers = 2;
       opts.program_name = spec.key;
       const SweepReport report = engine.run(spec.source, opts);
       EXPECT_TRUE(report.ok) << spec.key;
@@ -442,7 +448,10 @@ TEST(ObsConcurrency, TraceHookAttachDetachUnderConcurrentSweeps) {
     tb.sim().run_until(sched.horizon / 2);
     rt.set_trace(nullptr);  // detach mid-run
     tb.sim().run_until(sched.horizon);
-  });
+  };
+  std::vector<std::thread> lanes;
+  for (std::size_t i = 0; i < n; ++i) lanes.emplace_back(lane, i);
+  for (auto& th : lanes) th.join();
   Tracer::global().disable();
   EXPECT_GT(hook_calls.load(), 0u);
   // The hooks recorded through the global tracer from several threads; the

@@ -7,15 +7,16 @@
 // exactly once across any number of resource-model variants.
 //
 // This file carries the "concurrency" CTest label: the debug-tsan preset
-// (ThreadSanitizer) runs exactly these tests to race the worker pool.
+// (ThreadSanitizer) runs these tests to race sweeps, layouts and recompiles
+// over one shared front end from several caller threads.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/apps.hpp"
@@ -25,6 +26,7 @@
 #include "interp/runtime.hpp"
 #include "pisa/switch.hpp"
 #include "sim/simulator.hpp"
+#include "support/parallel.hpp"
 
 namespace lucid {
 namespace {
@@ -488,7 +490,6 @@ SweepOptions four_variant_sweep(const std::string& program_name) {
   SweepOptions opts;
   opts.variants = *parse_sweep_grid("stages=4,8,12,16");
   opts.program_name = program_name;
-  opts.workers = 4;
   return opts;
 }
 
@@ -641,22 +642,31 @@ TEST(SweepEngine, DiskCacheServesRepeatSweeps) {
 // Concurrency stress (the debug-tsan target)
 // ---------------------------------------------------------------------------
 
-TEST(SweepConcurrency, WidePipelineSweepUnderManyWorkers) {
-  // 16 variants x 3 backends across every worker the machine has; run over
-  // two different apps back to back to shake out cross-sweep state. TSan
-  // (preset debug-tsan) verifies the clones really share nothing mutable.
+TEST(SweepConcurrency, WidePipelineSweepsOnConcurrentThreads) {
+  // 16 variants x 3 backends for each of two apps, both sweeps running at
+  // once through one engine and registry to shake out cross-sweep state.
+  // TSan (preset debug-tsan) verifies the sweeps really share nothing
+  // mutable.
   const auto grid = parse_sweep_grid("stages=4,8,12,16;salus=2,4;tables=4,8");
   ASSERT_TRUE(grid.has_value());
   ASSERT_EQ(grid->size(), 16u);
   const SweepEngine engine(&test_registry());
-  for (const char* key : {"SFW", "CM"}) {
-    SCOPED_TRACE(key);
-    const apps::AppSpec& spec = apps::app(key);
-    SweepOptions opts;
-    opts.variants = *grid;
-    opts.program_name = spec.key;
-    opts.workers = 0;  // hardware concurrency
-    const SweepReport report = engine.run(spec.source, opts);
+  const std::vector<std::string> keys = {"SFW", "CM"};
+  std::vector<SweepReport> reports(keys.size());
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    threads.emplace_back([&, k] {
+      const apps::AppSpec& spec = apps::app(keys[k]);
+      SweepOptions opts;
+      opts.variants = *grid;
+      opts.program_name = spec.key;
+      reports[k] = engine.run(spec.source, opts);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    SCOPED_TRACE(keys[k]);
+    const SweepReport& report = reports[k];
     EXPECT_EQ(report.frontend_runs, 1);
     ASSERT_EQ(report.variants.size(), 16u);
     for (const auto& vr : report.variants) {
@@ -667,7 +677,7 @@ TEST(SweepConcurrency, WidePipelineSweepUnderManyWorkers) {
 
 TEST(SweepConcurrency, SharedAnalysisLayoutMatchesColdUnderManyWorkers) {
   // The shared Phase A path under maximum contention (TSan runs this via the
-  // concurrency label): 16 variants lay out concurrently off one front end,
+  // concurrency label): 16 variants lay out off one front end on 8 threads,
   // racing the analysis call_once, and every result must match a serial cold
   // compile byte-for-byte while sharing one analysis by address.
   const auto grid = parse_sweep_grid("stages=4,8,12,16;salus=2,4;tables=4,8");
@@ -679,7 +689,8 @@ TEST(SweepConcurrency, SharedAnalysisLayoutMatchesColdUnderManyWorkers) {
 
   std::vector<std::string> shared_strs(grid->size());
   std::vector<const void*> analysis_addrs(grid->size());
-  parallel_for(grid->size(), 0, [&](std::size_t i) {
+  WorkerPool pool(8);
+  pool.run(grid->size(), [&](std::size_t i) {
     DriverOptions vopts = app_options(spec);
     vopts.model = (*grid)[i].model;
     const CompilationPtr clone = base->clone_from_stage(Stage::Lower, vopts);
@@ -735,16 +746,18 @@ TEST(SweepConcurrency, RecompilesRaceSweepsOverOneSharedPrev) {
   ASSERT_TRUE(grid.has_value());
   const SweepEngine engine(&test_registry());
 
+  // Up to one thread per task. (ok is not a vector<bool>: its packed bits
+  // would make the per-task writes a data race.)
   constexpr std::size_t kTasks = 12;
   std::vector<std::string> got(kTasks);
-  std::vector<bool> ok(kTasks, false);
-  parallel_for(kTasks, 0, [&](std::size_t i) {
+  std::vector<char> ok(kTasks, 0);
+  WorkerPool pool(static_cast<int>(kTasks));
+  pool.run(kTasks, [&](std::size_t i) {
     switch (i % 3) {
       case 0: {  // a full sweep of the same program
         SweepOptions opts;
         opts.variants = *grid;
         opts.program_name = spec.key;
-        opts.workers = 1;
         opts.backends = {"p4"};
         const SweepReport report = engine.run(spec.source, opts);
         ok[i] = report.ok;
@@ -776,16 +789,6 @@ TEST(SweepConcurrency, RecompilesRaceSweepsOverOneSharedPrev) {
     } else {
       EXPECT_EQ(got[i], i % 3 == 1 ? want_ws : want_edit);
     }
-  }
-}
-
-TEST(SweepConcurrency, ParallelForCoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> counts(1000);
-  for (auto& c : counts) c = 0;
-  parallel_for(counts.size(), 8,
-               [&](std::size_t i) { counts[i].fetch_add(1); });
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << i;
   }
 }
 
