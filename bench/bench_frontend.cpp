@@ -5,6 +5,8 @@
 //   top level    a generated 512-decl program (frontend::generate_program)
 //                parse    cold Parse vs the incremental parse of a
 //                         one-handler edit              — target >= 5x
+//                         (Sema and Lower reuse of that edit are written
+//                         as sema/lower_decls_reused)
 //                phase A  cold opt::analyze_layout vs
 //                         opt::update_layout_analysis with one dirty
 //                         handler                       — target >= 3x
@@ -136,6 +138,8 @@ struct ScaleResults {
   double parse_cold_ms = 0;
   double parse_edit_ms = 0;
   long parse_reused = 0;
+  long sema_reused = 0;   // decls Sema reused on the one-handler edit
+  long lower_reused = 0;  // handlers Lower spliced on that edit
   double phasea_cold_ms = 0;
   double phasea_inc_ms = 0;
   long handlers_reused = 0;
@@ -176,6 +180,8 @@ ScaleResults measure_scale() {
   // Phase A: cold analysis vs a patch with exactly the edited handler dirty.
   const CompilationPtr rec = driver.recompile(prev, edit_src);
   if (!rec->ok()) fatal("progen recompile");
+  r.sema_reused = rec->record(Stage::Sema).decls_reused;
+  r.lower_reused = rec->record(Stage::Lower).decls_reused;
   const auto prev_an = prev->layout_analysis_ptr();
   const std::set<std::string> dirty = {"ev0"};
   int reused = 0;
@@ -487,6 +493,8 @@ int main() {
               s.parse_cold_ms, kParseReps);
   std::printf("%-24s %9.2f ms  (%ld decls spliced)\n",
               "parse: one-decl edit", s.parse_edit_ms, s.parse_reused);
+  std::printf("%-24s %ld decls, %ld handlers reused\n", "sema/lower: edit",
+              s.sema_reused, s.lower_reused);
   std::printf("%-24s %9.2f ms  (x%d reps)\n", "phase A: cold",
               s.phasea_cold_ms, kPhaseAReps);
   std::printf("%-24s %9.2f ms  (%ld handlers reused)\n",
@@ -497,6 +505,8 @@ int main() {
       .field("parse_edit_ms", s.parse_edit_ms)
       .field("parse_decls_reused", s.parse_reused)
       .field("parse_speedup", parse_x)
+      .field("sema_decls_reused", s.sema_reused)
+      .field("lower_decls_reused", s.lower_reused)
       .field("phasea_cold_ms", s.phasea_cold_ms)
       .field("phasea_incremental_ms", s.phasea_inc_ms)
       .field("phasea_handlers_reused", s.handlers_reused)

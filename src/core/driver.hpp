@@ -265,7 +265,8 @@ class Compilation : public std::enable_shared_from_this<Compilation> {
   [[nodiscard]] std::string timing_report() const;
   /// Machine-readable `--time-passes=json` object: program name, one record
   /// per ran stage (stage, wall_ms, ok, shared, analysis_shared), and the
-  /// total. Consumed by bench_layout and CI.
+  /// total. Printed by `lucidc --time-passes=json`, which CI parses;
+  /// bench_frontend reads the same StageRecords directly.
   [[nodiscard]] std::string timing_report_json() const;
 
  private:

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "support/linewriter.hpp"
@@ -157,7 +158,7 @@ class Emitter {
     main_program();
     license();
     XdpProgram p;
-    p.text = w_.text();
+    p.text = w_.take_text();
     p.loc_by_category = w_.counts();
     return p;
   }
@@ -943,8 +944,8 @@ class EbpfBackend final : public Backend {
         check(comp.ir(), comp.pipeline(), limits_, comp.diags());
     if (!report.ok) return artifact;
 
-    const XdpProgram p = ebpf::emit(comp, comp.options().program_name);
-    artifact.text = p.text;
+    XdpProgram p = ebpf::emit(comp, comp.options().program_name);
+    artifact.text = std::move(p.text);
     for (const auto& [cat, loc] : p.loc_by_category) {
       artifact.metrics["loc_" + std::string(category_name(cat))] =
           static_cast<std::int64_t>(loc);

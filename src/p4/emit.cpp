@@ -4,6 +4,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "support/linewriter.hpp"
@@ -132,6 +135,7 @@ class Emitter {
 
   P4Program run() {
     collect_vars();
+    index_sites_and_events();
     preamble();
     headers();
     metadata_struct();
@@ -141,7 +145,7 @@ class Emitter {
     deparser();
     pipeline_decl();
     P4Program p;
-    p.text = w_.text();
+    p.text = w_.take_text();
     p.loc_by_category = w_.counts();
     return p;
   }
@@ -265,29 +269,31 @@ class Emitter {
       w_.line(LineCategory::Header,
               "    ev_" + ev.name + "_h ev_" + ev.name + ";");
     }
-    for (const auto& [site, ev] : generate_sites()) {
+    for (std::size_t site = 0; site < sites_.size(); ++site) {
       w_.line(LineCategory::Header, "    lucid_event_h gen_meta_" +
                                         std::to_string(site) + ";");
-      w_.line(LineCategory::Header, "    ev_" + ev + "_h gen_" +
-                                        std::to_string(site) + ";");
+      w_.line(LineCategory::Header, "    ev_" + sites_[site]->gen.event +
+                                        "_h gen_" + std::to_string(site) +
+                                        ";");
     }
     w_.line(LineCategory::Header, "}");
     w_.blank();
   }
 
-  std::vector<std::pair<int, std::string>> generate_sites() const {
-    std::vector<std::pair<int, std::string>> sites;
-    int n = 0;
+  /// Numbers the generate sites in pipeline order and maps event names to
+  /// ids, so per-member lookups are O(1).
+  void index_sites_and_events() {
     for (const auto& stage : pipeline_.stages) {
       for (const auto& mt : stage.tables) {
         for (const auto* t : mt.members) {
           if (t->kind == TableKind::Generate) {
-            sites.emplace_back(n++, t->gen.event);
+            site_of_.emplace(t, static_cast<int>(sites_.size()));
+            sites_.push_back(t);
           }
         }
       }
     }
-    return sites;
+    for (const auto& ev : ir_.events) event_id_.emplace(ev.name, ev.event_id);
   }
 
   void metadata_struct() {
@@ -552,18 +558,8 @@ class Emitter {
   }
 
   int gen_site_of(const AtomicTable* t) const {
-    int n = 0;
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* m : mt.members) {
-          if (m->kind == TableKind::Generate) {
-            if (m == t) return n;
-            ++n;
-          }
-        }
-      }
-    }
-    return -1;
+    const auto it = site_of_.find(t);
+    return it == site_of_.end() ? -1 : it->second;
   }
 
   void emit_tables() {
@@ -616,10 +612,8 @@ class Emitter {
   }
 
   int event_id_of(const std::string& handler) const {
-    for (const auto& ev : ir_.events) {
-      if (ev.name == handler) return ev.event_id;
-    }
-    return -1;
+    const auto it = event_id_.find(handler);
+    return it == event_id_.end() ? -1 : it->second;
   }
 
   void emit_merged_table(const opt::MergedTable& mt, int sidx, int tidx) {
@@ -800,8 +794,16 @@ class Emitter {
     w_.line(LineCategory::Control, "    apply {");
     w_.line(LineCategory::Control,
             "        // --- Lucid event serializer ---");
-    const auto sites = generate_sites();
-    for (const auto& [site, ev] : sites) {
+    // Every clone invalidates every site's headers: that block is the same
+    // for all sites, so it is rendered and counted once.
+    std::string invalidate_all;
+    for (std::size_t other = 0; other < sites_.size(); ++other) {
+      const std::string o = std::to_string(other);
+      invalidate_all += "            hdr.gen_meta_" + o + ".setInvalid();\n";
+      invalidate_all += "            hdr.gen_" + o + ".setInvalid();\n";
+    }
+    const std::size_t invalidate_all_loc = count_loc(invalidate_all);
+    for (std::size_t site = 0; site < sites_.size(); ++site) {
       w_.line(LineCategory::Control,
               "        if (eg_intr_md.egress_rid == " +
                   std::to_string(site + 1) + ") {");
@@ -812,17 +814,9 @@ class Emitter {
               "            hdr.event = hdr.gen_meta_" + std::to_string(site) +
                   ";");
       w_.line(LineCategory::Control,
-              "            hdr.ev_" + ev + " = hdr.gen_" +
+              "            hdr.ev_" + sites_[site]->gen.event + " = hdr.gen_" +
                   std::to_string(site) + ";");
-      for (const auto& [other, oev] : sites) {
-        w_.line(LineCategory::Control, "            hdr.gen_meta_" +
-                                           std::to_string(other) +
-                                           ".setInvalid();");
-        w_.line(LineCategory::Control,
-                "            hdr.gen_" + std::to_string(other) +
-                    ".setInvalid();");
-        (void)oev;
-      }
+      w_.block(LineCategory::Control, invalidate_all, invalidate_all_loc);
       w_.line(LineCategory::Control, "        }");
     }
     w_.line(LineCategory::Control,
@@ -850,12 +844,11 @@ class Emitter {
       w_.line(LineCategory::Control, "        pkt.emit(hdr.ev_" + ev.name +
                                          ");");
     }
-    for (const auto& [site, ev] : generate_sites()) {
+    for (std::size_t site = 0; site < sites_.size(); ++site) {
       w_.line(LineCategory::Control,
               "        pkt.emit(hdr.gen_meta_" + std::to_string(site) + ");");
       w_.line(LineCategory::Control,
               "        pkt.emit(hdr.gen_" + std::to_string(site) + ");");
-      (void)ev;
     }
     w_.line(LineCategory::Control, "    }");
     w_.line(LineCategory::Control, "}");
@@ -877,6 +870,9 @@ class Emitter {
   std::map<std::string, int> vars_;              // metadata fields
   std::map<std::string, std::string> reg_actions_;  // signature -> name
   std::vector<std::string> table_names_;
+  std::vector<const AtomicTable*> sites_;  // generate sites, by site number
+  std::unordered_map<const AtomicTable*, int> site_of_;
+  std::unordered_map<std::string_view, int> event_id_;  // name -> event id
 };
 
 }  // namespace
@@ -908,8 +904,8 @@ class P4Backend final : public Backend {
                          "cannot emit P4: pipeline layout is infeasible");
       return artifact;
     }
-    const P4Program p = p4::emit(comp, comp.options().program_name);
-    artifact.text = p.text;
+    P4Program p = p4::emit(comp, comp.options().program_name);
+    artifact.text = std::move(p.text);
     for (const auto& [cat, loc] : p.loc_by_category) {
       artifact.metrics["loc_" + std::string(category_name(cat))] =
           static_cast<std::int64_t>(loc);

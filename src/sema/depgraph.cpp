@@ -122,11 +122,16 @@ std::vector<std::string_view> decl_refs(const Decl& d) {
 DeclDepGraph DeclDepGraph::build(const Program& p) {
   DeclDepGraph g;
   g.nodes.resize(p.decls.size());
+  // Handlers are never reference targets: `generate ev(...)` and a
+  // handler's own binding both mean the *event* `ev`. Entering handlers
+  // here would make every generator of `ev` depend on handler `ev`'s body.
   std::map<std::string_view, std::vector<int>> by_name;
   for (std::size_t i = 0; i < p.decls.size(); ++i) {
     g.nodes[i].kind = p.decls[i]->kind;
     g.nodes[i].name = p.decls[i]->name;
-    by_name[p.decls[i]->name].push_back(static_cast<int>(i));
+    if (p.decls[i]->kind != DeclKind::Handler) {
+      by_name[p.decls[i]->name].push_back(static_cast<int>(i));
+    }
   }
   for (std::size_t i = 0; i < p.decls.size(); ++i) {
     g.nodes[i].refs = decl_refs(*p.decls[i]);
@@ -134,7 +139,7 @@ DeclDepGraph DeclDepGraph::build(const Program& p) {
       const auto it = by_name.find(name);
       if (it == by_name.end()) continue;
       for (const int j : it->second) {
-        if (j == static_cast<int>(i)) continue;  // handler's self-name entry
+        if (j == static_cast<int>(i)) continue;  // no self edges
         g.nodes[i].uses.push_back(j);
         g.nodes[static_cast<std::size_t>(j)].used_by.push_back(
             static_cast<int>(i));

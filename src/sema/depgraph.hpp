@@ -6,8 +6,11 @@
 // expression, group member list, parameter-free call) mentions that could
 // resolve to a top-level name, plus — for handlers — their own name (a
 // handler is bound to the event of the same name, so an event-signature or
-// event-id change must dirty its handler). Over-approximation only costs
-// spurious re-checks, never a stale artifact.
+// event-id change must dirty its handler). A name resolves to every
+// non-handler decl of that name: handlers are never reference targets, so
+// `generate ev(...)` depends on event `ev`, not on handler `ev`'s body, and
+// a handler-body edit dirties that handler alone. Over-approximation only
+// costs spurious re-checks, never a stale artifact.
 //
 // `plan_recompile` diffs two programs at decl granularity using the
 // structural fingerprints (frontend/fingerprint.hpp) and this graph:

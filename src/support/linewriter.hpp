@@ -6,8 +6,9 @@
 #pragma once
 
 #include <map>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "support/strings.hpp"
 
@@ -18,19 +19,29 @@ class CategoryLineWriter {
  public:
   /// Appends `text` (may span multiple lines) plus a trailing newline,
   /// charging its countable lines to `cat`.
-  void line(Category cat, const std::string& text) {
-    out_ << text << "\n";
+  void line(Category cat, std::string_view text) {
+    out_.append(text);
+    out_ += '\n';
     counts_[cat] += count_loc(text);
   }
-  void blank() { out_ << "\n"; }
+  void blank() { out_ += '\n'; }
 
-  [[nodiscard]] std::string text() const { return out_.str(); }
+  /// Appends a pre-rendered block (its own newlines included) whose
+  /// count_loc the caller already knows — for a block repeated many times,
+  /// rendered and counted once.
+  void block(Category cat, std::string_view text, std::size_t loc) {
+    out_.append(text);
+    counts_[cat] += loc;
+  }
+
+  /// Hands the accumulated text out; the writer is spent afterwards.
+  [[nodiscard]] std::string take_text() { return std::move(out_); }
   [[nodiscard]] const std::map<Category, std::size_t>& counts() const {
     return counts_;
   }
 
  private:
-  std::ostringstream out_;
+  std::string out_;
   std::map<Category, std::size_t> counts_;
 };
 

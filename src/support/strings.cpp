@@ -57,13 +57,15 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 
 std::size_t count_loc(std::string_view text) {
   std::size_t count = 0;
-  for (const auto& raw : split(text, '\n')) {
-    const std::string_view line = trim(raw);
-    if (line.empty()) continue;
-    if (starts_with(line, "//")) continue;
-    ++count;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t nl = text.find('\n', start);
+    const std::string_view line = trim(text.substr(
+        start, nl == std::string_view::npos ? nl : nl - start));
+    if (!line.empty() && !starts_with(line, "//")) ++count;
+    if (nl == std::string_view::npos) return count;
+    start = nl + 1;
   }
-  return count;
 }
 
 std::optional<int> parse_positive_int(std::string_view s) {

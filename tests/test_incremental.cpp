@@ -29,6 +29,7 @@
 #include "frontend/fingerprint.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/printer.hpp"
+#include "frontend/progen.hpp"
 #include "interp/runtime.hpp"
 #include "pisa/switch.hpp"
 #include "sema/depgraph.hpp"
@@ -152,6 +153,37 @@ constexpr const char* kChain =
     "event tock(int i);\n"
     "handle tick(int i) { Array.set(a, i & MASK, plus, bump(i)); }\n"
     "handle tock(int i) { Array.set(b, i & MASK, plus, 1); }\n";
+
+/// kChain where `tick` also generates `tock`: the name `tock` there means
+/// the event, though a handler of that name exists too.
+constexpr const char* kGenChain =
+    "const int LIMIT = 10;\n"
+    "const int MASK = 15;\n"
+    "global a = new Array<<32>>(16);\n"
+    "global b = new Array<<32>>(16);\n"
+    "memop plus(int cur, int x) { return cur + x; }\n"
+    "fun int bump(int v) { return v + LIMIT; }\n"
+    "event tick(int i);\n"
+    "event tock(int i);\n"
+    "handle tick(int i) {\n"
+    "  Array.set(a, i & MASK, plus, bump(i));\n"
+    "  generate tock(i);\n"
+    "}\n"
+    "handle tock(int i) { Array.set(b, i & MASK, plus, 1); }\n";
+
+/// The dirty decls of `plan` over `next`, as "kind:name".
+std::set<std::string> dirty_decls(const Program& next,
+                                  const sema::RecompilePlan& plan) {
+  std::set<std::string> dirty;
+  for (std::size_t i = 0; i < next.decls.size(); ++i) {
+    if (plan.reuse_from[i] < 0) {
+      dirty.insert(std::string(frontend::decl_kind_name(
+                       next.decls[i]->kind)) +
+                   ":" + next.decls[i]->name);
+    }
+  }
+  return dirty;
+}
 
 // ---------------------------------------------------------------------------
 // Fingerprints and the canonical form
@@ -316,21 +348,45 @@ TEST(Plan, ConstEditDirtiesTransitiveDependents) {
   const std::size_t at = edited.find("LIMIT = 10");
   ASSERT_NE(at, std::string::npos);
   edited.replace(at, 10, "LIMIT = 11");
-  const Program prev = parse_ok(kChain);
   const Program next = parse_ok(edited);
-  const sema::RecompilePlan plan = sema::plan_recompile(prev, next);
-  std::set<std::string> dirty;
-  for (std::size_t i = 0; i < next.decls.size(); ++i) {
-    if (plan.reuse_from[i] < 0) {
-      dirty.insert(std::string(frontend::decl_kind_name(
-                       next.decls[i]->kind)) +
-                   ":" + next.decls[i]->name);
-    }
-  }
+  const sema::RecompilePlan plan = sema::plan_recompile(parse_ok(kChain), next);
   // LIMIT itself, the fun reading it, and the handler calling that fun —
   // nothing else.
-  EXPECT_EQ(dirty, (std::set<std::string>{"const:LIMIT", "fun:bump",
-                                          "handler:tick"}));
+  EXPECT_EQ(dirty_decls(next, plan),
+            (std::set<std::string>{"const:LIMIT", "fun:bump",
+                                   "handler:tick"}));
+}
+
+TEST(Plan, GeneratedHandlerEditDirtiesOnlyThatHandler) {
+  // `generate tock(i)` in tick names the event, not handler tock's body:
+  // editing that body must not spread to its generator.
+  std::string edited = kGenChain;
+  const std::string head = "handle tock(int i) {";
+  const std::size_t at = edited.find(head);
+  ASSERT_NE(at, std::string::npos);
+  edited.insert(at + head.size(), " int __zz_edit = 1 + 2; ");
+  const Program next = parse_ok(edited);
+  const sema::RecompilePlan plan =
+      sema::plan_recompile(parse_ok(kGenChain), next);
+  EXPECT_EQ(plan.dirty(), 1u);
+  EXPECT_EQ(dirty_decls(next, plan),
+            (std::set<std::string>{"handler:tock"}));
+}
+
+TEST(Plan, GeneratedEventSignatureEditDirtiesHandlerAndGenerator) {
+  // The event itself is still a reference target: its handler (bound by
+  // name) and every generator of it must re-check.
+  std::string edited = kGenChain;
+  const std::string sig = "event tock(int i);";
+  const std::size_t at = edited.find(sig);
+  ASSERT_NE(at, std::string::npos);
+  edited.replace(at, sig.size(), "event tock(int i, int j);");
+  const Program next = parse_ok(edited);
+  const sema::RecompilePlan plan =
+      sema::plan_recompile(parse_ok(kGenChain), next);
+  EXPECT_EQ(dirty_decls(next, plan),
+            (std::set<std::string>{"event:tock", "handler:tock",
+                                   "handler:tick"}));
 }
 
 TEST(Plan, GlobalInsertionDirtiesShiftedGlobalsAndTheirUsers) {
@@ -469,6 +525,50 @@ TEST(Recompile, OneHandlerEditMatchesColdByteForByte) {
     }
     EXPECT_EQ(diag_transcript(*cold), diag_transcript(*rec));
     EXPECT_EQ(interp_fingerprint(cold), interp_fingerprint(rec));
+  }
+}
+
+TEST(Recompile, ProgenOneHandlerEditsReuseEveryOtherDecl) {
+  // A generated program whose handlers generate each other: a one-handler
+  // edit re-checks one decl and re-lowers and re-analyzes one handler, and
+  // still emits exactly what a cold compile does.
+  frontend::ProgenConfig cfg;
+  cfg.stmts_per_handler = 16;
+  const std::string source = frontend::generate_program(cfg);
+  DriverOptions opts;
+  opts.program_name = "progen";
+  const CompilerDriver driver(opts, &test_registry());
+  const CompilationPtr prev = driver.run(source, Stage::Layout);
+  ASSERT_TRUE(prev->ok()) << prev->diags().render();
+  int sites = 0;
+  for (const ir::HandlerGraph& h : prev->ir().handlers) {
+    for (const ir::AtomicTable& t : h.tables) {
+      sites += t.kind == ir::TableKind::Generate ? 1 : 0;
+    }
+  }
+  ASSERT_GE(sites, 20);
+
+  for (const int which : {0, 7, 19, 33, cfg.handlers - 1}) {
+    SCOPED_TRACE(which);
+    const std::string edited = frontend::edit_one_handler(source, which);
+    const CompilationPtr rec = driver.recompile(prev, edited);
+    ASSERT_TRUE(driver.run_until(rec, Stage::Layout))
+        << rec->diags().render();
+    EXPECT_EQ(rec->record(Stage::Sema).decls_reused, cfg.decl_count() - 1);
+    EXPECT_EQ(rec->record(Stage::Lower).decls_reused, cfg.handlers - 1);
+    EXPECT_EQ(rec->record(Stage::Layout).decls_reused, cfg.handlers - 1);
+
+    const CompilationPtr cold = driver.run(edited, Stage::Layout);
+    ASSERT_TRUE(cold->ok()) << cold->diags().render();
+    for (const char* backend : {"p4", "ebpf"}) {
+      SCOPED_TRACE(backend);
+      const BackendArtifact a = driver.emit(cold, backend);
+      const BackendArtifact b = driver.emit(rec, backend);
+      ASSERT_TRUE(a.ok) << cold->diags().render();
+      ASSERT_TRUE(b.ok) << rec->diags().render();
+      EXPECT_EQ(a.text, b.text);
+      EXPECT_EQ(a.metrics, b.metrics);
+    }
   }
 }
 

@@ -1,7 +1,15 @@
 // P4 backend tests: structural properties of the emitted Tofino-style P4 and
-// the per-category LoC accounting that reproduces Figures 9/10.
+// the per-category LoC accounting that reproduces Figures 9/10 (for eBPF
+// too: both emitters share support/linewriter.hpp).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "apps/apps.hpp"
+#include "ebpf/emit.hpp"
+#include "frontend/progen.hpp"
 #include "p4/emit.hpp"
 #include "support/strings.hpp"
 
@@ -156,6 +164,30 @@ TEST(P4Emit, GeneratedP4IsMuchLongerThanLucid) {
   const std::size_t lucid_loc = lucid::count_loc(kFigure6);
   const P4Program p = emit_ok(kFigure6);
   EXPECT_GE(p.total_loc(), 4 * lucid_loc);
+}
+
+TEST(P4Emit, LocTotalsEqualCountLocOfTheText) {
+  // Emitters charge LoC as they write, some blocks once per repeat; the
+  // totals must still be exactly count_loc of the text they produced. The
+  // generated program has dozens of generate sites, so its serializer
+  // repeats its all-sites block many times.
+  std::vector<std::pair<std::string, std::string>> corpus;
+  for (const apps::AppSpec& spec : apps::all_apps()) {
+    corpus.emplace_back(spec.key, spec.source);
+  }
+  frontend::ProgenConfig cfg;
+  cfg.stmts_per_handler = 16;
+  corpus.emplace_back("progen", frontend::generate_program(cfg));
+  for (const auto& [name, source] : corpus) {
+    SCOPED_TRACE(name);
+    const CompilerDriver driver;
+    const CompilationPtr r = driver.run(source);
+    ASSERT_TRUE(r->ok()) << r->diags().render();
+    const P4Program p = emit(*r, name);
+    EXPECT_EQ(p.total_loc(), count_loc(p.text));
+    const ebpf::XdpProgram x = ebpf::emit(*r, name);
+    EXPECT_EQ(x.total_loc(), count_loc(x.text));
+  }
 }
 
 TEST(P4Emit, DeterministicOutput) {

@@ -86,6 +86,21 @@ TEST(Strings, CountLocSkipsBlanksAndComments) {
 
 TEST(Strings, CountLocEmpty) { EXPECT_EQ(count_loc(""), 0u); }
 
+TEST(Strings, CountLocEdgeCases) {
+  // A last line without a newline still counts.
+  EXPECT_EQ(count_loc("int x = 1;"), 1u);
+  EXPECT_EQ(count_loc("a\nb"), 2u);
+  // An indented // line is a comment, whatever the indentation.
+  EXPECT_EQ(count_loc("    // note"), 0u);
+  EXPECT_EQ(count_loc("\t// note\nint a;\n"), 1u);
+  // Whitespace-only lines are blank.
+  EXPECT_EQ(count_loc(" \t \n\r\n\v\f\n"), 0u);
+  EXPECT_EQ(count_loc("\n\n"), 0u);
+  EXPECT_EQ(count_loc("\n"), 0u);
+  // '/' alone or '/ /' is code, not a comment.
+  EXPECT_EQ(count_loc("/\n/ /\n"), 2u);
+}
+
 TEST(Strings, IndentPadsNonEmptyLines) {
   EXPECT_EQ(indent("a\n\nb", 2), "  a\n\n  b");
 }
