@@ -6,8 +6,8 @@
 //
 //   - `DataPlane` is the state surface being driven — registers to read and
 //     write, Lucid control events to raise. The interpreter adapter lives in
-//     ctrl/interp_bridge.hpp; a future native execution engine implements
-//     the same interface and slots in unchanged.
+//     ctrl/interp_bridge.hpp, the native replica fleet's in
+//     ctrl/native_bridge.hpp.
 //   - `ControlPlane` owns an asynchronous update queue. `submit()` is
 //     thread-safe and never touches data-plane state itself; queued batches
 //     are applied only at *apply points* — event-scheduler boundaries
@@ -44,8 +44,8 @@ namespace lucid::ctrl {
 using Value = std::int64_t;
 
 /// The state surface a control plane drives. Implemented over the
-/// interpreter today (ctrl/interp_bridge.hpp); a native engine implements
-/// the same interface tomorrow.
+/// interpreter (ctrl/interp_bridge.hpp) and the native replica fleet
+/// (ctrl/native_bridge.hpp).
 class DataPlane {
  public:
   virtual ~DataPlane() = default;

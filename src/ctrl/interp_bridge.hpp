@@ -1,6 +1,6 @@
 // DataPlane adapter over the interpreter Runtime, plus the convenience
 // bundle (`RuntimeControl`) that wires a ControlPlane to a Testbed node in
-// one line. The native execution engine's twin adapter lives in
+// one line. The native replica fleet's adapter (FleetDataPlane) lives in
 // native_bridge.hpp and reuses ControlPlane unchanged.
 #pragma once
 

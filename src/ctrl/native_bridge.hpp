@@ -1,72 +1,15 @@
-// DataPlane adapter over the native execution engine — the sibling of
-// interp_bridge.hpp promised there ("a future native execution engine
-// provides its own DataPlane and reuses ControlPlane unchanged"). The
-// ControlPlane, batching model, and apply-point discipline are untouched:
-// native::Runtime installs its executor on the same sched::EventScheduler,
-// so control batches still apply only at event boundaries.
+// DataPlane adapter over the native replica fleet (native/fleet.hpp), the
+// sibling of interp_bridge.hpp. ControlPlane, its batching model and its
+// apply-point discipline are reused unchanged.
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ctrl/control_plane.hpp"
-#include "native/engine.hpp"
 #include "native/fleet.hpp"
 
 namespace lucid::ctrl {
-
-/// Drives native-engine register state. The native Runtime has no array
-/// aliasing (generated code references arrays by slot), so lookups resolve
-/// declared names directly against the switch, memoized like the interp
-/// adapter — register arrays are created once at Runtime construction and
-/// never move.
-class NativeDataPlane final : public DataPlane {
- public:
-  explicit NativeDataPlane(native::Runtime& rt) : rt_(rt) {}
-
-  [[nodiscard]] bool has_array(const std::string& name) const override {
-    return lookup(name) != nullptr;
-  }
-  [[nodiscard]] std::int64_t array_size(
-      const std::string& name) const override {
-    const pisa::RegisterArray* a = lookup(name);
-    return a == nullptr ? -1 : a->size();
-  }
-  bool write(const std::string& array, std::int64_t index,
-             Value value) override {
-    pisa::RegisterArray* a = lookup(array);
-    if (a == nullptr) return false;
-    a->set(index, value);
-    return true;
-  }
-  [[nodiscard]] Value read(const std::string& array,
-                           std::int64_t index) const override {
-    const pisa::RegisterArray* a = lookup(array);
-    return a == nullptr ? 0 : a->get(index);
-  }
-  [[nodiscard]] bool can_inject(const std::string& event,
-                                std::size_t arity) const override {
-    const ir::EventInfo* ev = rt_.find_event(event);
-    return ev != nullptr && ev->params.size() == arity;
-  }
-  bool inject_event(const std::string& event, std::vector<Value> args,
-                    sim::Time delay_ns) override {
-    return rt_.inject_control(event, std::move(args), delay_ns);
-  }
-
- private:
-  [[nodiscard]] pisa::RegisterArray* lookup(const std::string& name) const {
-    const auto it = cache_.find(name);
-    if (it != cache_.end()) return it->second;
-    pisa::RegisterArray* a = rt_.array(name);
-    if (a != nullptr) cache_.emplace(name, a);
-    return a;
-  }
-
-  native::Runtime& rt_;
-  mutable std::unordered_map<std::string, pisa::RegisterArray*> cache_;
-};
 
 /// DataPlane over a sharded native::ReplicaFleet. Control tables are
 /// *replicated*: a write is broadcast to every shard (each shard masks and
@@ -137,24 +80,6 @@ class FleetDataPlane final : public DataPlane {
   }
 
   native::ReplicaFleet& fleet_;
-};
-
-/// Owns the adapter and the plane for the common single-node case —
-/// the native twin of RuntimeControl:
-///
-///   ctrl::NativeControl nc(rt);
-///   nc.plane().submit(batch);
-class NativeControl {
- public:
-  explicit NativeControl(native::Runtime& rt, ControlPlaneConfig cfg = {})
-      : dp_(rt), plane_(dp_, rt.node(), cfg) {}
-
-  [[nodiscard]] ControlPlane& plane() { return plane_; }
-  [[nodiscard]] NativeDataPlane& dataplane() { return dp_; }
-
- private:
-  NativeDataPlane dp_;
-  ControlPlane plane_;
 };
 
 }  // namespace lucid::ctrl

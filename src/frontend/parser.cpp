@@ -197,7 +197,11 @@ DeclPtr Parser::parse_global() {
   if (!expect(TokenKind::Shl, "to open Array width")) return nullptr;
   const Token* width = expect(TokenKind::IntLit, "Array cell width");
   if (!width) return nullptr;
-  decl->width = static_cast<int>(width->int_value);
+  // Checked before narrowing so a huge literal cannot wrap into range:
+  // anything above 64 is kept as 65, which Sema rejects
+  // (sema-bad-array-width) like every width outside 1..64.
+  decl->width =
+      width->int_value > 64 ? 65 : static_cast<int>(width->int_value);
   if (!expect(TokenKind::Shr, "to close Array width")) return nullptr;
   if (!expect(TokenKind::LParen, "before Array size")) return nullptr;
   decl->size = parse_expr();

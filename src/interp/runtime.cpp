@@ -133,20 +133,8 @@ const frontend::EventDecl* Runtime::find_event(
 }
 
 const RunStats& Runtime::stats() const {
-  // Materialize the name-keyed view from the dense per-event counters (only
-  // names that actually occurred, matching the historical map behavior).
-  stats_.executions.clear();
-  stats_.generated.clear();
-  stats_.total_executions = total_executions_;
-  const auto& events = comp_->ir().events;
-  for (std::size_t id = 0; id < events.size(); ++id) {
-    if (exec_count_by_id_[id] != 0) {
-      stats_.executions[events[id].name] = exec_count_by_id_[id];
-    }
-    if (gen_count_by_id_[id] != 0) {
-      stats_.generated[events[id].name] = gen_count_by_id_[id];
-    }
-  }
+  stats_.assign(comp_->ir().events, exec_count_by_id_, gen_count_by_id_,
+                total_executions_);
   return stats_;
 }
 

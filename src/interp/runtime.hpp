@@ -17,7 +17,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -31,11 +30,7 @@ namespace lucid::interp {
 
 using Value = std::int64_t;
 
-struct RunStats {
-  std::map<std::string, std::uint64_t> executions;
-  std::map<std::string, std::uint64_t> generated;
-  std::uint64_t total_executions = 0;
-};
+using sched::RunStats;
 
 /// Deterministic 32-bit hash used by the `hash` builtin (stands in for the
 /// Tofino's CRC hash units).

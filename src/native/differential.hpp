@@ -66,39 +66,60 @@ inline bool is_timer_event(const ir::ProgramIR& ir, int event_id) {
   return false;
 }
 
-inline Schedule make_schedule(const ir::ProgramIR& ir, std::uint64_t seed,
-                              int traffic_events) {
-  Schedule s;
-  std::uint64_t rng = seed * 0x9E3779B97f4A7C15ull + 1;
-  std::vector<const ir::EventInfo*> timers;
+/// The part make_schedule and make_burst_schedule share: the handled events
+/// split into timers and traffic, the argument generator, and the timer
+/// seeds (one injection each, 1 us apart). Traffic starts at `t`.
+struct ScheduleBuilder {
+  std::uint64_t rng;
   std::vector<const ir::EventInfo*> traffic;
-  for (const auto& ev : ir.events) {
-    if (!ev.has_handler) continue;
-    (is_timer_event(ir, ev.event_id) ? timers : traffic).push_back(&ev);
+  Schedule s;
+  sim::Time t = 997;
+
+  ScheduleBuilder(const ir::ProgramIR& ir, std::uint64_t seed)
+      : rng(seed * 0x9E3779B97f4A7C15ull + 1) {
+    std::vector<const ir::EventInfo*> timers;
+    for (const auto& ev : ir.events) {
+      if (!ev.has_handler) continue;
+      (is_timer_event(ir, ev.event_id) ? timers : traffic).push_back(&ev);
+    }
+    for (const auto* ev : timers) {
+      add(*ev);
+      t += 1000;
+    }
+    t = std::max<sim::Time>(t, 5000);
   }
-  auto args_for = [&](const ir::EventInfo& ev) {
+
+  /// Appends `ev` at `t` with fresh random args.
+  void add(const ir::EventInfo& ev) {
     std::vector<std::int64_t> args;
     args.reserve(ev.params.size());
     for (std::size_t i = 0; i < ev.params.size(); ++i) {
       args.push_back(static_cast<std::int64_t>(splitmix64(rng) % 4096));
     }
-    return args;
-  };
-  sim::Time t = 997;
-  for (const auto* ev : timers) {
-    s.entries.push_back(Injection{t, ev->name, args_for(*ev)});
-    t += 1000;
+    s.entries.push_back(Injection{t, ev.name, std::move(args)});
   }
-  t = std::max<sim::Time>(t, 5000);
-  if (!traffic.empty()) {
+
+  /// The k-th traffic event, round-robin.
+  [[nodiscard]] const ir::EventInfo& traffic_event(int k) const {
+    return *traffic[static_cast<std::size_t>(k) % traffic.size()];
+  }
+
+  Schedule finish() {
+    s.horizon = t + 300 * sim::kUs;  // let timer cascades and drains settle
+    return std::move(s);
+  }
+};
+
+inline Schedule make_schedule(const ir::ProgramIR& ir, std::uint64_t seed,
+                              int traffic_events) {
+  ScheduleBuilder b(ir, seed);
+  if (!b.traffic.empty()) {
     for (int i = 0; i < traffic_events; ++i) {
-      const auto* ev = traffic[static_cast<std::size_t>(i) % traffic.size()];
-      s.entries.push_back(Injection{t, ev->name, args_for(*ev)});
-      t += 700 + static_cast<sim::Time>(splitmix64(rng) % 600);
+      b.add(b.traffic_event(i));
+      b.t += 700 + static_cast<sim::Time>(splitmix64(b.rng) % 600);
     }
   }
-  s.horizon = t + 300 * sim::kUs;  // let timer cascades and drains settle
-  return s;
+  return b.finish();
 }
 
 /// Burst variant of make_schedule: traffic arrives in same-timestamp bursts
@@ -111,41 +132,15 @@ inline Schedule make_schedule(const ir::ProgramIR& ir, std::uint64_t seed,
 inline Schedule make_burst_schedule(const ir::ProgramIR& ir,
                                     std::uint64_t seed, int bursts,
                                     int burst_size, sim::Time gap_ns = 2000) {
-  Schedule s;
-  std::uint64_t rng = seed * 0x9E3779B97f4A7C15ull + 1;
-  std::vector<const ir::EventInfo*> timers;
-  std::vector<const ir::EventInfo*> traffic;
-  for (const auto& ev : ir.events) {
-    if (!ev.has_handler) continue;
-    (is_timer_event(ir, ev.event_id) ? timers : traffic).push_back(&ev);
-  }
-  auto args_for = [&](const ir::EventInfo& ev) {
-    std::vector<std::int64_t> args;
-    args.reserve(ev.params.size());
-    for (std::size_t i = 0; i < ev.params.size(); ++i) {
-      args.push_back(static_cast<std::int64_t>(splitmix64(rng) % 4096));
-    }
-    return args;
-  };
-  sim::Time t = 997;
-  for (const auto* ev : timers) {
-    s.entries.push_back(Injection{t, ev->name, args_for(*ev)});
-    t += 1000;
-  }
-  t = std::max<sim::Time>(t, 5000);
-  if (!traffic.empty()) {
+  ScheduleBuilder b(ir, seed);
+  if (!b.traffic.empty()) {
     int k = 0;
-    for (int b = 0; b < bursts; ++b) {
-      for (int i = 0; i < burst_size; ++i, ++k) {
-        const auto* ev =
-            traffic[static_cast<std::size_t>(k) % traffic.size()];
-        s.entries.push_back(Injection{t, ev->name, args_for(*ev)});
-      }
-      t += gap_ns;
+    for (int burst = 0; burst < bursts; ++burst) {
+      for (int i = 0; i < burst_size; ++i, ++k) b.add(b.traffic_event(k));
+      b.t += gap_ns;
     }
   }
-  s.horizon = t + 300 * sim::kUs;
-  return s;
+  return b.finish();
 }
 
 /// One engine's observable outcome: wall time of the run (excluding compile
@@ -156,7 +151,7 @@ struct EngineResult {
   std::string error;
   double wall_s = 0.0;
   std::vector<std::vector<std::int64_t>> arrays;
-  RunStats stats;  // interp::RunStats and native::RunStats are same-shape
+  RunStats stats;
   std::uint64_t executed = 0;
   std::uint64_t forwarded = 0;
   std::uint64_t delayed_enqueues = 0;
@@ -190,10 +185,7 @@ inline EngineResult run_interp(const std::string& source,
     const pisa::RegisterArray* a = rt.array(arr.name);
     r.arrays.emplace_back(a->data(), a->data() + a->size());
   }
-  const interp::RunStats& st = rt.stats();
-  r.stats.executions = st.executions;
-  r.stats.generated = st.generated;
-  r.stats.total_executions = st.total_executions;
+  r.stats = rt.stats();
   const auto& sched_stats = tb.sched_at(1).stats();
   r.executed = sched_stats.executed;
   r.forwarded = sched_stats.forwarded;

@@ -41,14 +41,14 @@
 // the order the interpreter's handler body reached each generate.
 //
 // Batch equivalence: the host (Module::run_batch) runs packets in order,
-// each straight through its handler's entry, so a one-packet batch is the
-// single-packet call (Module::run_one) and state equivalence is trivial. A
-// stage-major walk over the batch (PISA's stage parallelism in software)
-// would also preserve per-array access order — the layout pins every
-// register array to one stage (opt::Pipeline::array_stage) and a packet
-// makes at most one sALU visit per array per pass — but it round-trips
-// every packet's Ctx through a scratch slab between stages, which measures
-// slower at event-loop drain sizes.
+// each straight through its handler's entry, so a batch is a sequence of
+// single-packet calls and state equivalence is trivial. A stage-major walk
+// over the batch (PISA's stage parallelism in software) would also preserve
+// per-array access order — the layout pins every register array to one
+// stage (opt::Pipeline::array_stage) and a packet makes at most one sALU
+// visit per array per pass — but it round-trips every packet's Ctx through
+// a scratch slab between stages, which measures slower at event-loop drain
+// sizes.
 //
 // The module calls no library function and is linked -nostdlib
 // (src/native/jit.cpp).

@@ -13,8 +13,8 @@ namespace {
 
 using support::mask_width;
 
-/// Shared by Runtime and Replica: validate an injected event against the IR
-/// declaration and mask args to their param widths (EventCtor semantics).
+/// Validates an injected event against the IR declaration and masks args to
+/// their param widths (EventCtor semantics).
 const ir::EventInfo* validate_event(const ir::ProgramIR& ir,
                                     const std::string& name,
                                     std::vector<std::int64_t>& args) {
@@ -22,7 +22,7 @@ const ir::EventInfo* validate_event(const ir::ProgramIR& ir,
   // slabs (RPacket, PacketIn) hold kMaxArgs words, so an over-arity
   // injection must be rejected, never truncated. Program::build refuses
   // events declared wider, but injection is caller input — same reject
-  // semantics as Runtime::inject on an arity mismatch.
+  // semantics as an arity mismatch.
   if (args.size() > static_cast<std::size_t>(kMaxArgs)) return nullptr;
   for (const auto& ev : ir.events) {
     if (ev.name != name) continue;
@@ -33,19 +33,6 @@ const ir::EventInfo* validate_event(const ir::ProgramIR& ir,
     return &ev;
   }
   return nullptr;
-}
-
-void build_run_stats(const ir::ProgramIR& ir,
-                     const std::vector<std::uint64_t>& execs,
-                     const std::vector<std::uint64_t>& gens,
-                     std::uint64_t total, RunStats* out) {
-  out->executions.clear();
-  out->generated.clear();
-  out->total_executions = total;
-  for (std::size_t id = 0; id < ir.events.size(); ++id) {
-    if (execs[id] != 0) out->executions[ir.events[id].name] = execs[id];
-    if (gens[id] != 0) out->generated[ir.events[id].name] = gens[id];
-  }
 }
 
 }  // namespace
@@ -151,113 +138,7 @@ const ir::EventInfo* Program::find_event(const std::string& name) const {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime (coupled)
-// ---------------------------------------------------------------------------
-
-Runtime::Runtime(std::shared_ptr<const Program> prog,
-                 sched::EventScheduler& node)
-    : prog_(std::move(prog)), node_(node) {
-  const ir::ProgramIR& ir = prog_->ir();
-  for (const auto& arr : ir.arrays) {
-    node_.node().add_array(arr.name, arr.width, arr.size);
-  }
-  // Cache raw cell pointers only after every array exists: add_array may
-  // replace entries, but never moves others (std::map nodes are stable).
-  array_ptrs_.reserve(ir.arrays.size());
-  for (const auto& arr : ir.arrays) {
-    array_ptrs_.push_back(node_.node().find_array(arr.name)->data());
-  }
-  gen_buf_.resize(
-      static_cast<std::size_t>(std::max<std::int32_t>(
-          prog_->module().max_gens(), 1)));
-  has_handler_by_id_.assign(ir.events.size(), 0);
-  exec_count_by_id_.assign(ir.events.size(), 0);
-  gen_count_by_id_.assign(ir.events.size(), 0);
-  for (const auto& ev : ir.events) {
-    if (ev.has_handler) {
-      has_handler_by_id_[static_cast<std::size_t>(ev.event_id)] = 1;
-    }
-  }
-  node_.set_execute([this](const pisa::Packet& p) { execute(p); });
-}
-
-bool Runtime::make_event(const std::string& event,
-                         std::vector<std::int64_t>& args,
-                         sched::GenEvent* out) const {
-  const ir::EventInfo* ev = validate_event(prog_->ir(), event, args);
-  if (ev == nullptr) return false;
-  out->event_id = ev->event_id;
-  out->args = std::move(args);
-  return true;
-}
-
-bool Runtime::inject(const std::string& event, std::vector<std::int64_t> args,
-                     sim::Time delay_ns, std::int64_t location) {
-  sched::GenEvent ev;
-  if (!make_event(event, args, &ev)) return false;
-  ev.delay_ns = delay_ns;
-  ev.location = location;
-  node_.inject(std::move(ev));
-  return true;
-}
-
-bool Runtime::inject_control(const std::string& event,
-                             std::vector<std::int64_t> args,
-                             sim::Time delay_ns) {
-  sched::GenEvent ev;
-  if (!make_event(event, args, &ev)) return false;
-  ev.delay_ns = delay_ns;
-  node_.inject_control(std::move(ev));
-  return true;
-}
-
-void Runtime::execute(const pisa::Packet& p) {
-  const auto id = static_cast<std::size_t>(p.event_id);
-  if (p.event_id < 0 || id >= has_handler_by_id_.size() ||
-      has_handler_by_id_[id] == 0) {
-    return;
-  }
-  ++total_executions_;
-  ++exec_count_by_id_[id];
-
-  PacketIn in;
-  in.event_id = p.event_id;
-  in.nargs = static_cast<std::int32_t>(
-      std::min<std::size_t>(p.args.size(), kMaxArgs));
-  in.now_ns = node_.node().sim().now();
-  in.self_id = node_.self();
-  for (std::int32_t i = 0; i < in.nargs; ++i) in.args[i] = p.args[i];
-
-  const std::int32_t n =
-      prog_->module().run_one(array_ptrs_.data(), in, gen_buf_.data());
-  const ir::ProgramIR& ir = prog_->ir();
-  for (std::int32_t g = 0; g < n; ++g) {
-    const GenOut& go = gen_buf_[static_cast<std::size_t>(g)];
-    sched::GenEvent ev;
-    ev.event_id = go.event_id;
-    ev.args.assign(go.args, go.args + go.nargs);
-    ev.delay_ns = go.delay_ns;
-    ev.location = go.location;
-    ev.multicast = go.multicast != 0;
-    if (go.group >= 0) {
-      ev.members = ir.groups[static_cast<std::size_t>(go.group)].members;
-    }
-    if (go.event_id >= 0 &&
-        static_cast<std::size_t>(go.event_id) < gen_count_by_id_.size()) {
-      ++gen_count_by_id_[static_cast<std::size_t>(go.event_id)];
-    }
-    node_.generate(std::move(ev));
-  }
-}
-
-const RunStats& Runtime::stats() const {
-  build_run_stats(prog_->ir(), exec_count_by_id_, gen_count_by_id_,
-                  total_executions_, &stats_);
-  return stats_;
-}
-
-// ---------------------------------------------------------------------------
-// Replica (decoupled)
+// Replica
 // ---------------------------------------------------------------------------
 
 Replica::Replica(std::shared_ptr<const Program> prog, ReplicaConfig cfg)
@@ -277,9 +158,9 @@ Replica::Replica(std::shared_ptr<const Program> prog, ReplicaConfig cfg)
       has_handler_by_id_[static_cast<std::size_t>(ev.event_id)] = 1;
     }
   }
-  recirc_ = RPort{cfg_.switch_cfg.recirc_rate_gbps,
-                  cfg_.switch_cfg.recirc_latency_ns, 0, 0, 0};
-  front_ = RPort{cfg_.switch_cfg.front_rate_gbps, 0, 0, 0, 0};
+  recirc_.bits_per_ns = cfg_.switch_cfg.recirc_rate_gbps;
+  recirc_.latency = cfg_.switch_cfg.recirc_latency_ns;
+  front_.bits_per_ns = cfg_.switch_cfg.front_rate_gbps;
   gen_stride_ = std::max<std::int32_t>(prog_->module().max_gens(), 1);
   if (cfg_.shard_id >= 0) {
     const obs::Labels labels{{"shard", std::to_string(cfg_.shard_id)}};
@@ -295,7 +176,7 @@ Replica::Replica(std::shared_ptr<const Program> prog, ReplicaConfig cfg)
         "In-flight heap + pending injections at the last run boundary");
   }
   // EventScheduler's constructor starts the PFC stream synchronously at
-  // t=0, before any injection closures are registered — mirror that order.
+  // t=0, before any injection closures are registered — same order here.
   if (cfg_.sched.mode == sched::DelayMode::PausableQueue) pfc_tick();
 }
 
@@ -336,8 +217,6 @@ bool Replica::make_packet(const std::string& event,
   out->event_id = ev->event_id;
   out->nargs = static_cast<std::int32_t>(args.size());
   for (std::int32_t i = 0; i < out->nargs; ++i) out->args[i] = args[i];
-  out->size_bytes =
-      std::max<int>(64, 34 + 4 * static_cast<int>(args.size()));
   return true;
 }
 
@@ -346,10 +225,12 @@ bool Replica::schedule_inject(sim::Time t, const std::string& event,
                               sim::Time delay_ns, std::int64_t location) {
   RPacket p;
   if (!make_packet(event, args, &p)) return false;
-  p.location = location;
-  p.created = t;  // to_packet stamps creation when the closure fires, == t
-  p.due = t + delay_ns;
+  // The reference registers a closure with Simulator::at, which clamps a
+  // past `t` to now; to_packet stamps creation when that closure fires.
   const sim::Time at = std::max(t, now_);
+  p.location = location;
+  p.created = at;
+  p.due = at + delay_ns;
   if (!pending_.empty() && at < pending_.back().t) {
     // Out-of-order registration: keep the sorted fast path intact and let
     // the heap order this one (seq still allocated here, at registration).
@@ -365,9 +246,9 @@ bool Replica::schedule_inject(sim::Time t, const std::string& event,
 }
 
 void Replica::pfc_tick() {
-  // Mirror of Switch::pfc_tick: the (unpause, pause) pair costs recirc
-  // bandwidth; three sim entries allocated in this order.
-  RPacket frame;  // minimum-size PFC frame: 64B -> 84 wire bytes
+  // Switch::pfc_tick: the (unpause, pause) pair costs recirc bandwidth;
+  // three sim entries allocated in this order.
+  RPacket frame;  // argument-less: a minimum-size PFC frame
   push(recirc_.send(now_, frame.wire_bytes()), Kind::PfcOpen);
   push(now_ + cfg_.sched.release_window_ns, Kind::PfcPauseSend);
   push(now_ + cfg_.sched.release_interval_ns, Kind::PfcTick);
@@ -396,7 +277,6 @@ void Replica::dispatch_gen(const GenOut& g) {
   p.event_id = g.event_id;
   p.nargs = g.nargs;
   for (std::int32_t i = 0; i < g.nargs; ++i) p.args[i] = g.args[i];
-  p.size_bytes = std::max<int>(64, 34 + 4 * g.nargs);
   p.created = now_;
   p.due = now_ + g.delay_ns;
 
@@ -591,23 +471,26 @@ void Replica::drain_passes() {
                            : pending_[static_cast<std::size_t>(fe.idx)].pkt;
     ++pass_head_;
     ++drained;
-    if (p.location >= 0 && p.location != self) {
+    const sched::Disposition d =
+        sched::ingress_disposition(p.location, self, now_, p.due,
+                                   cfg_.sched.mode, delay_open_);
+    if (d != sched::Disposition::Execute) {
       const RPacket pkt = p;
       if (fe.from_pool) release_slot(fe.idx);
       flush_exec_batch();
-      route_out(pkt);
-      continue;
-    }
-    if (now_ < p.due) {
-      const RPacket pkt = p;
-      if (fe.from_pool) release_slot(fe.idx);
-      flush_exec_batch();
-      if (cfg_.sched.mode == sched::DelayMode::BaselineRecirculation ||
-          delay_open_) {
-        recirculate(pkt);
-      } else {
-        ++stats_.delayed_enqueues;
-        delay_queue_.push_back(pkt);
+      switch (d) {
+        case sched::Disposition::RouteOut:
+          route_out(pkt);
+          break;
+        case sched::Disposition::Recirculate:
+          recirculate(pkt);
+          break;
+        case sched::Disposition::DelayEnqueue:
+          ++stats_.delayed_enqueues;
+          delay_queue_.push_back(pkt);
+          break;
+        case sched::Disposition::Execute:
+          break;
       }
       continue;
     }
@@ -708,11 +591,8 @@ bool Replica::control_write(std::size_t decl_index, std::int64_t index,
                             std::int64_t value) {
   if (decl_index >= cells_.size()) return false;
   auto& cells = cells_[decl_index];
-  const auto n = static_cast<std::int64_t>(cells.size());
-  std::int64_t i = index % n;
-  if (i < 0) i += n;
-  const ir::ArrayInfo& arr = prog_->ir().arrays[decl_index];
-  cells[static_cast<std::size_t>(i)] = mask_width(value, arr.width);
+  cells[pisa::wrap_index(index, cells.size())] =
+      mask_width(value, prog_->ir().arrays[decl_index].width);
   return true;
 }
 
@@ -720,15 +600,12 @@ std::int64_t Replica::control_read(std::size_t decl_index,
                                    std::int64_t index) const {
   if (decl_index >= cells_.size()) return 0;
   const auto& cells = cells_[decl_index];
-  const auto n = static_cast<std::int64_t>(cells.size());
-  std::int64_t i = index % n;
-  if (i < 0) i += n;
-  return cells[static_cast<std::size_t>(i)];
+  return cells[pisa::wrap_index(index, cells.size())];
 }
 
 const RunStats& Replica::run_stats() const {
-  build_run_stats(prog_->ir(), exec_count_by_id_, gen_count_by_id_,
-                  total_executions_, &run_stats_);
+  run_stats_.assign(prog_->ir().events, exec_count_by_id_, gen_count_by_id_,
+                    total_executions_);
   return run_stats_;
 }
 

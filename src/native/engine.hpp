@@ -1,26 +1,20 @@
 // The native execution engine: runs a compiled-to-C++ pipeline module
 // (src/native/emit.cpp + src/native/jit.cpp) instead of walking the AST.
 //
-// Two hosts share one loaded Program:
-//
-//   - native::Runtime couples the module to a sched::EventScheduler exactly
-//     like interp::Runtime does — register arrays live in the switch, events
-//     flow through the full simulator, control-plane apply points fire at
-//     the same boundaries. A drop-in engine swap for Testbed-style setups
-//     (src/ctrl/native_bridge.hpp builds the control-plane surface on it).
-//
-//   - native::Replica is the decoupled fast path: a single-node mirror of
-//     the switch + scheduler + PFC timing model with POD packets on one
-//     (time, seq) heap and no std::function in the hot loop. It reproduces
-//     the simulator's event interleaving exactly (see the seq-order notes in
-//     replica_* below), so after a run its register state is byte-identical
-//     to an interp::Runtime run of the same schedule — the differential
-//     suite (tests/test_native.cpp) and bench_native both pin this.
+// native::Replica is the one host of a loaded Program (ReplicaFleet in
+// fleet.hpp shards it over cores): a single-node event loop with POD packets
+// on one (time, seq) heap and no std::function in the hot loop. It does not
+// copy the switch's timing rules but calls them: the ingress disposition
+// (sched::ingress_disposition), port serialization (pisa::PortClock) and the
+// event frame size (pisa::event_frame_bytes). It reproduces the simulator's
+// event interleaving exactly (see the seq-order notes on Replica below), so
+// after a run its register state is byte-identical to an interp::Runtime
+// run of the same schedule — the differential suite (tests/test_native.cpp)
+// and bench_native both pin this.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <queue>
 #include <string>
@@ -40,17 +34,11 @@ class Histogram;
 
 namespace lucid::native {
 
-/// Name-keyed run statistics; same shape as interp::RunStats so differential
-/// tests can compare them directly.
-struct RunStats {
-  std::map<std::string, std::uint64_t> executions;
-  std::map<std::string, std::uint64_t> generated;
-  std::uint64_t total_executions = 0;
-};
+using sched::RunStats;
 
 /// A program compiled for native execution: the emitted module source plus
 /// the loaded shared object. Immutable after build; share it across every
-/// Runtime/Replica of the same program (the JIT caches by source anyway).
+/// Replica of the same program (the JIT caches by source anyway).
 class Program {
  public:
   /// Compiles `comp` (Layout stage must have succeeded) to native code.
@@ -94,54 +82,7 @@ using BatchCall =
                                            double budget_s = 0.005);
 
 // ---------------------------------------------------------------------------
-// Coupled engine: the interp::Runtime drop-in
-// ---------------------------------------------------------------------------
-
-class Runtime {
- public:
-  /// Creates the program's register arrays in the scheduler's switch and
-  /// installs the module as the handler executor.
-  Runtime(std::shared_ptr<const Program> prog, sched::EventScheduler& node);
-
-  [[nodiscard]] const Program& program() const { return *prog_; }
-
-  /// Same contract as interp::Runtime::inject / inject_control: false (and
-  /// nothing injected) on unknown event or arity mismatch; args masked to
-  /// their declared widths.
-  bool inject(const std::string& event, std::vector<std::int64_t> args,
-              sim::Time delay_ns = 0, std::int64_t location = -1);
-  bool inject_control(const std::string& event,
-                      std::vector<std::int64_t> args, sim::Time delay_ns = 0);
-
-  [[nodiscard]] const ir::EventInfo* find_event(
-      const std::string& name) const {
-    return prog_->find_event(name);
-  }
-  [[nodiscard]] pisa::RegisterArray* array(const std::string& name) {
-    return node_.node().find_array(name);
-  }
-
-  [[nodiscard]] const RunStats& stats() const;
-  [[nodiscard]] sched::EventScheduler& node() { return node_; }
-
- private:
-  void execute(const pisa::Packet& p);
-  bool make_event(const std::string& event, std::vector<std::int64_t>& args,
-                  sched::GenEvent* out) const;
-
-  std::shared_ptr<const Program> prog_;
-  sched::EventScheduler& node_;
-  std::vector<std::int64_t*> array_ptrs_;  // IR declaration order
-  std::vector<GenOut> gen_buf_;
-  std::vector<char> has_handler_by_id_;
-  std::vector<std::uint64_t> exec_count_by_id_;
-  std::vector<std::uint64_t> gen_count_by_id_;
-  std::uint64_t total_executions_ = 0;
-  mutable RunStats stats_;
-};
-
-// ---------------------------------------------------------------------------
-// Decoupled engine: the single-node replica
+// The single-node replica
 // ---------------------------------------------------------------------------
 
 struct ReplicaConfig {
@@ -152,11 +93,11 @@ struct ReplicaConfig {
   int shard_id = -1;
 };
 
-/// Single-node mirror of {Switch, EventScheduler, PFC stream} timing with
-/// the native module as executor. Injections must be scheduled up front (in
-/// the same order the reference run registers them), then run_until drives
-/// the event loop, draining every runnable same-timestamp pipeline pass into
-/// one run_batch call (see Replica::drain_passes).
+/// Single-node {Switch, EventScheduler, PFC stream} timing with the native
+/// module as executor. Injections must be scheduled up front (in the same
+/// order the reference run registers them), then run_until drives the event
+/// loop, draining every runnable same-timestamp pipeline pass into one
+/// run_batch call (see Replica::drain_passes).
 ///
 /// Seq-order contract (why state matches the real simulator byte-for-byte):
 /// the simulator breaks timestamp ties by insertion order. The replica
@@ -180,8 +121,9 @@ class Replica {
   explicit Replica(std::shared_ptr<const Program> prog,
                    ReplicaConfig cfg = {});
 
-  /// Registers an external arrival at absolute time `t`. Validates and
-  /// width-masks like Runtime::inject; false on unknown event / bad arity.
+  /// Registers an external arrival at absolute time `t` (clamped to now(),
+  /// like Simulator::at). Validates and width-masks like
+  /// interp::Runtime::inject; false on unknown event / bad arity.
   bool schedule_inject(sim::Time t, const std::string& event,
                        std::vector<std::int64_t> args, sim::Time delay_ns = 0,
                        std::int64_t location = -1);
@@ -228,8 +170,9 @@ class Replica {
     std::int64_t location = -1;
     sim::Time created = 0;
     sim::Time due = 0;
-    int size_bytes = 64;
-    [[nodiscard]] int wire_bytes() const { return size_bytes + 20; }
+    [[nodiscard]] int wire_bytes() const {
+      return pisa::frame_wire_bytes(pisa::event_frame_bytes(nargs));
+    }
   };
 
   enum class Kind : std::uint8_t {
@@ -282,24 +225,6 @@ class Replica {
     }
   };
 
-  /// Mirror of pisa::Port::send: FIFO serialization + fixed latency.
-  struct RPort {
-    double bits_per_ns = 100.0;
-    sim::Time latency = 0;
-    sim::Time next_free = 0;
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    sim::Time send(sim::Time now, int wire_bytes) {
-      const sim::Time start = std::max(now, next_free);
-      const auto bits = static_cast<double>(wire_bytes) * 8.0;
-      const auto ser = static_cast<sim::Time>(bits / bits_per_ns);
-      next_free = start + std::max<sim::Time>(ser, 1);
-      packets += 1;
-      bytes += static_cast<std::uint64_t>(wire_bytes);
-      return next_free + latency;
-    }
-  };
-
   std::int32_t alloc_slot();
   void release_slot(std::int32_t idx);
   void push_idx(sim::Time t, Kind kind, std::int32_t idx);
@@ -343,8 +268,8 @@ class Replica {
   std::vector<std::int32_t> batch_counts_;
   std::int32_t gen_stride_ = 1;  // GenOut records per packet in batch_out_
 
-  RPort recirc_;
-  RPort front_;
+  pisa::PortClock recirc_;
+  pisa::PortClock front_;
   std::vector<RPacket> delay_queue_;  // FIFO (drained front to back)
   std::size_t delay_head_ = 0;
   bool delay_open_ = false;

@@ -91,15 +91,6 @@ class ReplicaFleet {
            static_cast<std::size_t>(shards < 1 ? 1 : shards);
   }
 
-  /// The shard an injection would land on (validation-free preview).
-  [[nodiscard]] std::size_t route_of(const std::string& event,
-                                     const std::vector<std::int64_t>& args,
-                                     std::int64_t location = -1) const {
-    const ir::EventInfo* ev = prog_->find_event(event);
-    return route(shards(), location, ev != nullptr ? ev->event_id : -1,
-                 args);
-  }
-
   /// Routes and registers an external arrival; same validation contract as
   /// Replica::schedule_inject (false on unknown event / bad arity, args
   /// width-masked by the shard).

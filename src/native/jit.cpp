@@ -333,8 +333,12 @@ void Module::run_batch_raw(std::int64_t* const* arrays, const PacketIn* in,
   const auto stride =
       static_cast<std::size_t>(std::max<std::int32_t>(max_gens_, 1));
   for (std::int32_t i = 0; i < n; ++i) {
+    const auto id = static_cast<std::uint32_t>(in[i].event_id);
     gen_counts[i] =
-        run_one(arrays, in[i], out + static_cast<std::size_t>(i) * stride);
+        id < entries_.size() && entries_[id] != nullptr
+            ? entries_[id](arrays, in + i,
+                           out + static_cast<std::size_t>(i) * stride)
+            : 0;
   }
 }
 

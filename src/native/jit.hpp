@@ -49,19 +49,12 @@ class Module {
   /// GenOut records one packet can write: the batch output stride.
   [[nodiscard]] std::int32_t max_gens() const { return max_gens_; }
 
-  /// One packet through its handler's entry (uninstrumented); returns its
-  /// generate count, 0 for an event without a handler.
-  std::int32_t run_one(std::int64_t* const* arrays, const PacketIn& in,
-                       GenOut* out) const {
-    const auto id = static_cast<std::uint32_t>(in.event_id);
-    if (id >= entries_.size() || entries_[id] == nullptr) return 0;
-    return entries_[id](arrays, &in, out);
-  }
-
   /// The host batch loop with no instrumentation at all: packets in order,
-  /// packet i's records at out + i * max(max_gens(), 1). The Replica drain
-  /// calls it, and bench_native measures its pps as the baseline for the
-  /// obs overhead gate.
+  /// each straight through its handler's entry; packet i's records at
+  /// out + i * max(max_gens(), 1) and its generate count in gen_counts[i]
+  /// (0 for an event without a handler). The Replica drain calls it, and
+  /// bench_native measures its pps as the baseline for the obs overhead
+  /// gate.
   void run_batch_raw(std::int64_t* const* arrays, const PacketIn* in,
                      std::int32_t n, GenOut* out,
                      std::int32_t* gen_counts) const;

@@ -4,6 +4,7 @@
 // for serialization/bandwidth purposes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,9 +12,25 @@
 
 namespace lucid::pisa {
 
+/// Ethernet minimum frame: an argument-less event packet, or a PFC frame.
+inline constexpr int kMinFrameBytes = 64;
+
+/// Frame size of an event packet carrying `nargs` argument words: ethernet
+/// + lucid_event_h (34 bytes) + 4 bytes per argument, padded to the minimum
+/// frame. The scheduler and the native replica both size packets with it.
+[[nodiscard]] constexpr int event_frame_bytes(int nargs) {
+  return std::max(kMinFrameBytes, 34 + 4 * nargs);
+}
+
+/// Bytes a frame occupies on the wire: Ethernet preamble + inter-frame gap
+/// add 20 bytes.
+[[nodiscard]] constexpr int frame_wire_bytes(int frame_bytes) {
+  return frame_bytes + 20;
+}
+
 struct Packet {
   // Wire accounting.
-  int size_bytes = 64;  // minimum frame; grows with argument payload
+  int size_bytes = kMinFrameBytes;  // grows with argument payload
 
   // Lucid event metadata (mirrors lucid_event_h).
   int event_id = -1;
@@ -34,8 +51,7 @@ struct Packet {
   int recirc_count = 0;
   std::uint64_t uid = 0;
 
-  /// Wire size including preamble + IFG overhead (Ethernet: 20 bytes).
-  [[nodiscard]] int wire_bytes() const { return size_bytes + 20; }
+  [[nodiscard]] int wire_bytes() const { return frame_wire_bytes(size_bytes); }
 };
 
 }  // namespace lucid::pisa

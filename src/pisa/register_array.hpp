@@ -7,7 +7,21 @@
 #include <string>
 #include <vector>
 
+#include "support/bits.hpp"
+
 namespace lucid::pisa {
+
+/// The cell an index addresses in an array of `n` (> 0) cells: out-of-range
+/// indexes wrap, negative ones from the end (hardware indexes are
+/// width-masked; the apps always mask explicitly, this is the safety net).
+[[nodiscard]] inline std::size_t wrap_index(std::int64_t index,
+                                            std::size_t n) {
+  assert(n != 0);
+  const auto len = static_cast<std::int64_t>(n);
+  std::int64_t i = index % len;
+  if (i < 0) i += len;
+  return static_cast<std::size_t>(i);
+}
 
 class RegisterArray {
  public:
@@ -31,30 +45,22 @@ class RegisterArray {
     cells_[clamp(index)] = mask(value);
   }
 
+  /// The engines' one truncation rule (Sema keeps widths in 1..64).
   [[nodiscard]] std::int64_t mask(std::int64_t value) const {
-    if (width_ >= 64) return value;
-    const std::uint64_t m = (std::uint64_t{1} << width_) - 1;
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(value) & m);
+    return support::mask_width(value, width_);
   }
 
-  /// Out-of-range indexes wrap (hardware indexes are width-masked; the apps
-  /// always mask explicitly, this is the safety net).
   [[nodiscard]] std::size_t clamp(std::int64_t index) const {
-    assert(!cells_.empty());
-    const auto n = static_cast<std::int64_t>(cells_.size());
-    std::int64_t i = index % n;
-    if (i < 0) i += n;
-    return static_cast<std::size_t>(i);
+    return wrap_index(index, cells_.size());
   }
 
   void fill(std::int64_t value) {
     for (auto& c : cells_) c = mask(value);
   }
 
-  /// Raw cell storage for the native engine: generated modules read and
-  /// write cells directly (they emit the same width-mask and index-clamp the
-  /// accessors above apply). The pointer is stable for the array's lifetime.
-  [[nodiscard]] std::int64_t* data() { return cells_.data(); }
+  /// Raw cell storage, size() cells. The differential harness
+  /// (src/native/differential.hpp) copies it out to compare the
+  /// interpreter's state with a native replica's cells byte for byte.
   [[nodiscard]] const std::int64_t* data() const { return cells_.data(); }
 
  private:

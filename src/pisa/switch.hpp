@@ -112,7 +112,6 @@ class Switch {
   /// commit is in flight are held (in the parser buffer) until it finishes.
   /// Consecutive stalls queue back-to-back rather than overlapping.
   void stall_pipeline(sim::Time duration);
-  [[nodiscard]] sim::Time busy_until() const { return busy_until_; }
   [[nodiscard]] sim::Time stall_ns_total() const { return stall_ns_total_; }
   [[nodiscard]] std::uint64_t stalled_deliveries() const {
     return stalled_deliveries_;

@@ -28,7 +28,7 @@ EventScheduler::EventScheduler(pisa::Switch& sw, SchedulerConfig config)
 
 pisa::Packet EventScheduler::to_packet(GenEvent&& ev) const {
   pisa::Packet p;
-  p.size_bytes = ev.wire_size();
+  p.size_bytes = pisa::event_frame_bytes(static_cast<int>(ev.args.size()));
   p.event_id = ev.event_id;
   p.args = std::move(ev.args);
   p.location = ev.location;
@@ -83,31 +83,21 @@ void EventScheduler::route_out(pisa::Packet p) {
 
 void EventScheduler::on_ingress(pisa::Packet p) {
   const sim::Time now = switch_.sim().now();
-
-  // Non-local events are forwarded like any other packet.
-  if (p.location >= 0 && p.location != self()) {
-    route_out(std::move(p));
-    return;
-  }
-
-  // Delayed events.
-  if (now < p.due_ns) {
-    if (config_.mode == DelayMode::BaselineRecirculation) {
+  switch (ingress_disposition(p.location, self(), now, p.due_ns, config_.mode,
+                              switch_.delay_queue_open())) {
+    case Disposition::RouteOut:
+      route_out(std::move(p));
+      return;
+    case Disposition::Recirculate:
       switch_.recirculate(std::move(p));
       return;
-    }
-    if (switch_.delay_queue_open()) {
-      // Mid-release window: keep looping until the window closes or the
-      // event comes due.
-      switch_.recirculate(std::move(p));
-    } else {
+    case Disposition::DelayEnqueue:
       ++stats_.delayed_enqueues;
       switch_.delay_enqueue(std::move(p));
-    }
-    return;
+      return;
+    case Disposition::Execute:
+      break;
   }
-
-  // Processable.
   ++stats_.executed;
   m_executed_->add();
   m_latency_->observe(

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -35,6 +37,54 @@ struct SchedulerConfig {
   sim::Time release_window_ns = 5 * sim::kUs;
 };
 
+/// What the scheduler does with an event packet whose ingress pipeline pass
+/// just completed (section 3.2 "event dispatching").
+enum class Disposition : std::uint8_t {
+  RouteOut,      // addressed to another switch: out through a front port
+  Recirculate,   // not yet due and the delay queue is not taking it: loop
+  DelayEnqueue,  // not yet due: park in the paused delay queue
+  Execute,       // local and due: run the handler
+};
+
+/// The ingress dispatch policy, written once: EventScheduler::on_ingress and
+/// native::Replica's drain both switch on it. Baseline mode spins every
+/// early packet through the recirculation port; the pausable queue parks it
+/// unless a release window is open, in which case it keeps looping until
+/// the window closes or the event comes due.
+[[nodiscard]] inline Disposition ingress_disposition(
+    std::int64_t location, int self, sim::Time now, sim::Time due,
+    DelayMode mode, bool delay_queue_open) {
+  if (location >= 0 && location != self) return Disposition::RouteOut;
+  if (now < due) {
+    return mode == DelayMode::BaselineRecirculation || delay_queue_open
+               ? Disposition::Recirculate
+               : Disposition::DelayEnqueue;
+  }
+  return Disposition::Execute;
+}
+
+/// Name-keyed handler statistics of an engine run (interp::Runtime and
+/// native::Replica report this one type).
+struct RunStats {
+  std::map<std::string, std::uint64_t> executions;
+  std::map<std::string, std::uint64_t> generated;
+  std::uint64_t total_executions = 0;
+
+  /// Rebuilds the view from dense per-event-id counters; only events that
+  /// occurred get an entry. `events[id].name` names event `id`.
+  template <class Events>
+  void assign(const Events& events, const std::vector<std::uint64_t>& execs,
+              const std::vector<std::uint64_t>& gens, std::uint64_t total) {
+    executions.clear();
+    generated.clear();
+    total_executions = total;
+    for (std::size_t id = 0; id < events.size(); ++id) {
+      if (execs[id] != 0) executions[events[id].name] = execs[id];
+      if (gens[id] != 0) generated[events[id].name] = gens[id];
+    }
+  }
+};
+
 /// An event the application asks to generate (the runtime form of a
 /// lowered GenStmt with evaluated operands).
 struct GenEvent {
@@ -44,10 +94,6 @@ struct GenEvent {
   std::int64_t location = -1;  // -1 = local
   bool multicast = false;
   std::vector<std::int64_t> members;
-
-  [[nodiscard]] int wire_size() const {
-    return std::max<int>(64, 34 + 4 * static_cast<int>(args.size()));
-  }
 };
 
 class EventScheduler {

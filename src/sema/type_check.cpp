@@ -385,6 +385,12 @@ void Checker::eval_consts_and_globals() {
       const_env_[c->name] = v;
     } else if (d->kind == DeclKind::Global) {
       auto* g = d->as<GlobalDecl>();
+      if (g->width < 1 || g->width > 64) {
+        diags_.error(g->range, "sema-bad-array-width",
+                     "cell width of array '" + g->name +
+                         "' must be between 1 and 64 bits");
+        ok_ = false;
+      }
       std::int64_t v = 0;
       if (!const_eval(*g->size, const_env_, v) || v <= 0) {
         diags_.error(g->size->range, "sema-bad-array-size",

@@ -5,13 +5,13 @@
 // interpreter — every cell of every array, every per-event execution and
 // generate count, every scheduler counter. These tests pin that contract on
 // all ten paper applications and a slice of generated programs with
-// randomized traffic, pin run_batch against one-packet calls on every app,
-// pin the coupled Runtime inside a real multi-node fabric, and pin the
-// control-plane adapter (ctrl::NativeDataPlane) against the interp one. The
-// JIT tests pin the shell-free compile, its registry metrics, an empty
-// $TMPDIR afterwards, one compile for concurrent loads of one source, and
-// the incremental contract: a one-handler edit changes one unit's text and
-// compiles one unit.
+// randomized traffic, pin run_batch against one-packet batches on every
+// app, pin an injection registered in the past against the interpreter, and
+// pin the control-plane adapter (ctrl::FleetDataPlane) on a one-shard
+// fleet. The JIT tests pin the shell-free compile, its registry metrics, an
+// empty $TMPDIR afterwards, one compile for concurrent loads of one source,
+// and the incremental contract: a one-handler edit changes one unit's text
+// and compiles one unit.
 //
 // The sharded fleet extends the contract per shard (see tests/README.md):
 // each ReplicaFleet shard must be byte-identical to a single-threaded
@@ -39,8 +39,8 @@
 #include "frontend/progen.hpp"
 #include "native/differential.hpp"
 #include "native/emit.hpp"
-#include "net/network.hpp"
 #include "obs/metrics.hpp"
+#include "support/bits.hpp"
 
 namespace lucid::native {
 namespace {
@@ -145,7 +145,7 @@ TEST_P(NativeBatchApps, BatchMatchesSequentialRunOne) {
   for (auto& c : batch_cells) batch_ptrs.push_back(c.data());
 
   // 1000 packets round-robin over every handled event with varied args:
-  // one run_batch call against 1000 one-packet calls.
+  // one run_batch call against 1000 one-packet run_batch_raw calls.
   std::vector<const ir::EventInfo*> handled;
   for (const auto& cand : ir.events) {
     if (cand.has_handler) handled.push_back(&cand);
@@ -171,11 +171,11 @@ TEST_P(NativeBatchApps, BatchMatchesSequentialRunOne) {
 
   const auto gens = std::max<std::int32_t>(prog->module().max_gens(), 1);
   std::vector<GenOut> one_out(packets.size() * static_cast<std::size_t>(gens));
-  std::vector<std::int32_t> one_counts;
+  std::vector<std::int32_t> one_counts(packets.size(), -1);
   for (std::size_t i = 0; i < packets.size(); ++i) {
-    one_counts.push_back(prog->module().run_one(
-        one_ptrs.data(), packets[i],
-        one_out.data() + i * static_cast<std::size_t>(gens)));
+    prog->module().run_batch_raw(
+        one_ptrs.data(), &packets[i], 1,
+        one_out.data() + i * static_cast<std::size_t>(gens), &one_counts[i]);
   }
 
   std::vector<GenOut> batch_out(packets.size() *
@@ -206,112 +206,72 @@ INSTANTIATE_TEST_SUITE_P(AllTen, NativeBatchApps, ::testing::Range(0, 10),
                          app_param_name);
 
 // ---------------------------------------------------------------------------
-// Coupled Runtime: native engine inside the real simulator fabric
+// Control plane over the native fleet
 // ---------------------------------------------------------------------------
 
-TEST(NativeRuntime, MultiNodeFabricMatchesInterpTestbed) {
-  // DFW distributes flow state across nodes via located events — the app
-  // that stresses route_out + fabric delivery the most.
-  const auto& app = apps::app("DFW");
-
-  interp::TestbedConfig ref_cfg;
-  ref_cfg.program_name = app.key;
-  ref_cfg.switch_ids = {1, 2};
-  interp::Testbed tb(app.source, ref_cfg);
-  ASSERT_TRUE(tb.ok()) << tb.diagnostics();
-
-  std::string err;
-  const auto prog = Program::build(tb.compilation_ptr(), &err);
-  ASSERT_NE(prog, nullptr) << err;
-
-  // Hand-built native twin of the two-node testbed, same construction
-  // order: switches, schedulers, runtimes, then the full-mesh fabric.
-  sim::Simulator sim;
-  net::Network net(sim);
-  pisa::SwitchConfig sw_cfg;
-  sw_cfg.id = 1;
-  pisa::Switch sw1(sim, sw_cfg);
-  sw_cfg.id = 2;
-  pisa::Switch sw2(sim, sw_cfg);
-  sched::EventScheduler sc1(sw1, sched::SchedulerConfig{});
-  sched::EventScheduler sc2(sw2, sched::SchedulerConfig{});
-  Runtime rt1(prog, sc1);
-  Runtime rt2(prog, sc2);
-  net.add_node(sc1);
-  net.add_node(sc2);
-  net.connect(1, 2, sim::kUs);
-
-  // Same injection plan on both fabrics: traffic at node 1; DFW's handlers
-  // generate located/multicast events that cross to node 2.
-  const auto plan = diff::make_schedule(prog->ir(), 7, 200);
-  interp::Runtime& ref_rt = tb.node(1);
-  for (const auto& e : plan.entries) {
-    tb.sim().after(e.t, [&ref_rt, &e] { ref_rt.inject(e.event, e.args); });
-    sim.after(e.t, [&rt1, &e] { rt1.inject(e.event, e.args); });
-  }
-  tb.sim().run_until(plan.horizon);
-  sim.run_until(plan.horizon);
-
-  for (const auto& arr : prog->ir().arrays) {
-    for (const int node : {1, 2}) {
-      pisa::RegisterArray* a = tb.switch_at(node).find_array(arr.name);
-      pisa::RegisterArray* b =
-          (node == 1 ? sw1 : sw2).find_array(arr.name);
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      ASSERT_EQ(a->size(), b->size());
-      for (std::int64_t i = 0; i < a->size(); ++i) {
-        ASSERT_EQ(a->get(i), b->get(i))
-            << arr.name << "[" << i << "] at node " << node;
-      }
-    }
-  }
-  EXPECT_EQ(tb.node(1).stats().executions, rt1.stats().executions);
-  EXPECT_EQ(tb.node(2).stats().executions, rt2.stats().executions);
-  EXPECT_EQ(tb.node(1).stats().generated, rt1.stats().generated);
-  // Non-vacuity: traffic actually ran, and some of it crossed the fabric.
-  EXPECT_GT(rt1.stats().total_executions, 0u);
-  EXPECT_GT(net.delivered() + net.dropped(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Control plane over the native engine
-// ---------------------------------------------------------------------------
-
-TEST(NativeCtrl, DataPlaneAdapterDrivesNativeState) {
-  CompilationPtr comp;
-  const auto prog = build_app("SFW", &comp);
+TEST(NativeCtrl, FleetDataPlaneDrivesShardState) {
+  const auto prog = build_app("SFW");
   ASSERT_NE(prog, nullptr);
+  FleetConfig fcfg;  // one shard
+  fcfg.label_metrics = false;
+  ReplicaFleet fleet(prog, fcfg);
+  ASSERT_EQ(fleet.shards(), 1);
+  ctrl::FleetDataPlane dp(fleet);
 
+  // Batches apply at the side scheduler's apply points (here: flush).
   sim::Simulator sim;
   pisa::SwitchConfig sw_cfg;
-  sw_cfg.id = 1;
+  sw_cfg.id = 99;
   pisa::Switch sw(sim, sw_cfg);
   sched::EventScheduler sc(sw, sched::SchedulerConfig{});
-  Runtime rt(prog, sc);
-  ctrl::NativeControl nc(rt);
+  ctrl::ControlPlane plane(dp, sc, ctrl::ControlPlaneConfig{});
 
-  const std::string arr = prog->ir().arrays.front().name;
-  EXPECT_TRUE(nc.dataplane().has_array(arr));
-  EXPECT_FALSE(nc.dataplane().has_array("no_such_array"));
+  // An array narrow enough for a 41-bit value to be masked.
+  const ir::ArrayInfo* arr = nullptr;
+  for (const auto& cand : prog->ir().arrays) {
+    if (cand.width < 40 && cand.size >= 8) {
+      arr = &cand;
+      break;
+    }
+  }
+  ASSERT_NE(arr, nullptr);
+  const auto slot =
+      static_cast<std::size_t>(prog->ir().array_index.at(arr->name));
+  const Replica& shard = fleet.shard(0);
+
+  EXPECT_TRUE(dp.has_array(arr->name));
+  EXPECT_EQ(dp.array_size(arr->name), arr->size);
+  EXPECT_FALSE(dp.has_array("no_such_array"));
+  EXPECT_EQ(dp.array_size("no_such_array"), -1);
 
   ctrl::UpdateBatch batch;
-  batch.writes.push_back(ctrl::RegWrite{arr, 3, 77});
+  batch.writes.push_back(ctrl::RegWrite{arr->name, 3, 77});
   ctrl::BatchResult last;
   batch.on_done = [&last](const ctrl::BatchResult& r) { last = r; };
-  nc.plane().submit(std::move(batch));
-  EXPECT_EQ(rt.array(arr)->get(3), 0);  // decoupled until an apply point
-  nc.plane().flush();
+  plane.submit(std::move(batch));
+  EXPECT_EQ(shard.control_read(slot, 3), 0);  // invisible until applied
+  plane.flush();
   EXPECT_TRUE(last.applied);
-  EXPECT_EQ(rt.array(arr)->get(3), 77);
+  EXPECT_EQ(shard.control_read(slot, 3), 77);
+  EXPECT_EQ(dp.read(arr->name, 3), 77);
 
-  // Native register writes behave like interp ones: masked to cell width.
-  ctrl::UpdateBatch wide;
-  wide.writes.push_back(ctrl::RegWrite{arr, 4, (std::int64_t{1} << 40) | 9});
-  nc.plane().submit(std::move(wide));
-  nc.plane().flush();
-  EXPECT_EQ(rt.array(arr)->get(4),
-            rt.array(arr)->mask((std::int64_t{1} << 40) | 9));
+  // Writes are masked to the cell width, like pisa::RegisterArray::set.
+  const std::int64_t wide = (std::int64_t{1} << 40) | 9;
+  ctrl::UpdateBatch masked;
+  masked.writes.push_back(ctrl::RegWrite{arr->name, 4, wide});
+  plane.submit(std::move(masked));
+  plane.flush();
+  EXPECT_EQ(shard.control_read(slot, 4),
+            support::mask_width(wide, arr->width));
+  EXPECT_NE(shard.control_read(slot, 4), wide);
+
+  // A negative index wraps to the end of the array.
+  ctrl::UpdateBatch wrapped;
+  wrapped.writes.push_back(ctrl::RegWrite{arr->name, -1, 5});
+  plane.submit(std::move(wrapped));
+  plane.flush();
+  EXPECT_EQ(shard.control_read(slot, arr->size - 1), 5);
+  EXPECT_EQ(dp.read(arr->name, -1), 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,8 +291,8 @@ TEST(NativeReplica, RejectsOverArityInjection) {
   ASSERT_NE(ev, nullptr);
 
   // More args than the ABI packet can carry must be rejected up front —
-  // the same reject semantics Runtime::inject has — never truncated into
-  // the fixed args[kMaxArgs] array.
+  // the same reject semantics interp::Runtime::inject has — never truncated
+  // into the fixed args[kMaxArgs] array.
   std::vector<std::int64_t> over(static_cast<std::size_t>(kMaxArgs) + 1, 1);
   Replica rep(prog, ReplicaConfig{});
   EXPECT_FALSE(rep.schedule_inject(1000, ev->name, over));
@@ -343,6 +303,68 @@ TEST(NativeReplica, RejectsOverArityInjection) {
   // The valid arity still injects (the guard is not rejecting everything).
   std::vector<std::int64_t> ok_args(ev->params.size(), 1);
   EXPECT_TRUE(rep.schedule_inject(1000, ev->name, ok_args));
+}
+
+TEST(NativeReplica, InjectionIntoThePastMatchesInterp) {
+  // After the clock passed 10 us, an injection registered for t=100 arrives
+  // now (Simulator::at clamps the time), and its 5 us delay counts from
+  // there: the reference stamps created/due when its closure fires. At
+  // 20 us the packet must be parked in the delay queue, not executed; the
+  // next PFC release (100 us) lets it run.
+  const auto& app = apps::app("SFW");
+  interp::TestbedConfig cfg;
+  cfg.program_name = app.key;
+  cfg.switch_ids = {1};
+  interp::Testbed tb(app.source, cfg);
+  ASSERT_TRUE(tb.ok()) << tb.diagnostics();
+  std::string err;
+  const auto prog = Program::build(tb.compilation_ptr(), &err);
+  ASSERT_NE(prog, nullptr) << err;
+  const ir::EventInfo* traffic = nullptr;
+  for (const auto& cand : prog->ir().events) {
+    if (cand.has_handler &&
+        !diff::is_timer_event(prog->ir(), cand.event_id)) {
+      traffic = &cand;
+      break;
+    }
+  }
+  ASSERT_NE(traffic, nullptr);
+  const std::vector<std::int64_t> args(traffic->params.size(), 3);
+
+  ReplicaConfig rcfg;
+  rcfg.switch_cfg.id = 1;
+  Replica rep(prog, rcfg);
+  interp::Runtime& rt = tb.node(1);
+  tb.sim().run_until(10000);
+  rep.run_until(10000);
+  tb.sim().at(100, [&rt, traffic, &args] {
+    rt.inject(traffic->name, args, /*delay_ns=*/5000);
+  });
+  ASSERT_TRUE(rep.schedule_inject(100, traffic->name, args, 5000));
+
+  tb.sim().run_until(20000);
+  rep.run_until(20000);
+  const auto& ref = tb.sched_at(1).stats();
+  EXPECT_EQ(ref.delayed_enqueues, 1u);
+  EXPECT_EQ(ref.executed, 0u);
+  EXPECT_EQ(rep.stats().delayed_enqueues, ref.delayed_enqueues);
+  EXPECT_EQ(rep.stats().executed, ref.executed);
+
+  tb.sim().run_until(300 * sim::kUs);
+  rep.run_until(300 * sim::kUs);
+  EXPECT_EQ(ref.executed, 1u);
+  EXPECT_EQ(rep.stats().executed, ref.executed);
+  EXPECT_EQ(rep.stats().delay_samples, ref.delay_samples.size());
+  EXPECT_EQ(rep.run_stats().executions, rt.stats().executions);
+  for (std::size_t a = 0; a < rep.array_count(); ++a) {
+    const pisa::RegisterArray* cells =
+        rt.array(prog->ir().arrays[a].name);
+    ASSERT_NE(cells, nullptr);
+    EXPECT_EQ(rep.array_cells(a),
+              std::vector<std::int64_t>(cells->data(),
+                                        cells->data() + cells->size()))
+        << prog->ir().arrays[a].name;
+  }
 }
 
 TEST(NativeReplica, PendingFootprintBoundedOverMillionInjections) {

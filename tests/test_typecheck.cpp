@@ -172,6 +172,23 @@ TEST(TypeCheck, DuplicateDeclarationIsRejected) {
   EXPECT_TRUE(diags.has_code("sema-duplicate-name"));
 }
 
+TEST(TypeCheck, ArrayWidthOutsideOneTo64IsRejected) {
+  // 4294967297 would wrap to 1 if narrowed to int before the check.
+  for (const char* width : {"0", "65", "4294967297"}) {
+    const std::string src =
+        "global arr = new Array<<" + std::string(width) + ">>(8);\n";
+    DiagnosticEngine diags;
+    const auto r = analyze(src, diags);
+    EXPECT_FALSE(r.ok) << width;
+    EXPECT_TRUE(diags.has_code("sema-bad-array-width")) << width;
+  }
+  for (const char* width : {"1", "64"}) {
+    const std::string src =
+        "global arr = new Array<<" + std::string(width) + ">>(8);\n";
+    analyze_ok(src);
+  }
+}
+
 TEST(TypeCheck, SelfIsDefined) {
   analyze_ok(
       "event ping(int src);\n"
