@@ -15,9 +15,11 @@
 //
 // 2. Observability overhead. The same synthetic batches through the
 //    instrumented Module::run_batch with tracing compiled in but disabled
-//    (obs-off, the shipping configuration) and with tracing enabled at 1/256
-//    sampling (obs-256), against the raw batch loop. Modes are interleaved
-//    per rep and best-of kept, so machine drift hits all three alike.
+//    (obs-off) and with tracing enabled at 1/256 sampling (obs-256),
+//    against the raw batch loop. No host runs the instrumented wrapper
+//    (every Replica calls run_batch_raw), so this gates the wrapper's cost,
+//    not that of a shipping path. Modes are interleaved per rep and
+//    best-of kept, so machine drift hits all three alike.
 //
 // 3. Scaling. A burst schedule on SFW, partitioned by a ReplicaFleet at
 //    1/2/4/8 shards. SFW's merged pass count is shard-count invariant

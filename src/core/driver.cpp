@@ -292,6 +292,7 @@ bool CompilerDriver::run_stage(Compilation& c, Stage s) const {
                   c.parse_reuse_prev_->ast(), c.diags_)) {
             c.artifacts_.program = std::move(inc->program);
             c.parse_spliced_from_ = std::move(inc->spliced_from);
+            c.parse_span_of_ = std::move(inc->span_of);
             // Seed this compilation's span cache with the table the splice
             // already scanned — if it becomes the next edit's prev, its scan
             // is already paid for.
@@ -458,18 +459,29 @@ CompilationPtr CompilerDriver::recompile(const ConstCompilationPtr& prev,
     // the partial path below recomputes whatever it cannot reuse.
   }
 
-  // Spliced decl nodes are shared with prev's AST. Clean decls are only
-  // ever written with values they already hold (Sema's header annotations
-  // are conditional), but a dirty decl's body check mutates expression
-  // types in place — un-share those by deep-cloning before Sema runs, so
-  // prev stays immutable (it may be serving other recompiles/sweeps).
+  // Spliced decl nodes are shared with prev's AST and keep prev's source
+  // positions. Clean decls are only ever written with values they already
+  // hold (Sema's header annotations are conditional), but a dirty decl's
+  // body check mutates expression types in place and reports against its
+  // ranges — re-parse those from their spans in this buffer before Sema
+  // runs, so prev stays immutable (it may be serving other
+  // recompiles/sweeps) and diagnostics match a cold compile's.
   if (!plan.identical && !comp->parse_spliced_from_.empty()) {
+    const std::vector<frontend::DeclSpan>& spans = *comp->decl_spans();
     auto& decls = comp->artifacts_.program.decls;
     for (std::size_t i = 0;
          i < decls.size() && i < plan.reuse_from.size(); ++i) {
-      if (comp->parse_spliced_from_[i] >= 0 && plan.reuse_from[i] < 0) {
-        decls[i] = frontend::clone_decl(*decls[i]);
+      if (comp->parse_spliced_from_[i] < 0 || plan.reuse_from[i] >= 0) {
+        continue;
       }
+      frontend::Program piece = frontend::parse_span(
+          comp->source_, spans[comp->parse_span_of_[i]], comp->diags_);
+      // A spliced span held exactly this decl in prev; anything else means
+      // the span table and the AST disagree, so compile cold instead.
+      if (piece.decls.size() != 1) {
+        return run(source, static_cast<Stage>(last));
+      }
+      decls[i] = std::move(piece.decls.front());
     }
   }
 

@@ -315,6 +315,8 @@ class Compilation : public std::enable_shared_from_this<Compilation> {
   /// index each decl was spliced from, -1 for freshly parsed decls. Empty
   /// when the parse was cold.
   std::vector<int> parse_spliced_from_;
+  /// Parallel to parse_spliced_from_: each decl's index into decl_spans().
+  std::vector<std::size_t> parse_span_of_;
   /// When set, layout_analysis_ptr() first patches this compilation's
   /// (already computed) Phase A analysis via opt::update_layout_analysis,
   /// re-analyzing only analysis_dirty_handlers_; falls back to a cold

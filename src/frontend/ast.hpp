@@ -304,9 +304,9 @@ struct Decl {
 
 // Decls are shared so the incremental parser can splice unchanged nodes from
 // the previous compilation's Program by pointer — O(1) per clean decl. The
-// recompile pipeline deep-clones any spliced decl the dirty set will
-// re-annotate (see clone_decl), so shared nodes are never mutated while two
-// compilations can both reach them.
+// recompile pipeline re-parses any spliced decl the dirty set will
+// re-annotate (frontend::parse_span), so shared nodes are never mutated while
+// two compilations can both reach them.
 using DeclPtr = std::shared_ptr<Decl>;
 
 struct ConstDecl final : Decl {
@@ -394,14 +394,6 @@ struct Program {
   [[nodiscard]] std::vector<const EventDecl*> events() const;
   [[nodiscard]] std::vector<const HandlerDecl*> handlers() const;
 };
-
-// Deep-copy helpers (used by function inlining in the IR lowering).
-[[nodiscard]] ExprPtr clone_expr(const Expr& e);
-[[nodiscard]] StmtPtr clone_stmt(const Stmt& s);
-[[nodiscard]] Block clone_block(const Block& b);
-// Deep-copies a whole declaration, annotations and ranges included. The
-// recompile path uses this to un-share a spliced decl before sema mutates it.
-[[nodiscard]] DeclPtr clone_decl(const Decl& d);
 
 // Annotation mirroring: copy every sema annotation (expression types,
 // resolved call kinds, VarRef resolution flags, const/size/id resolutions)

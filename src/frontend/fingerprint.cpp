@@ -22,267 +22,30 @@ std::string_view decl_kind_name(DeclKind k) {
 
 namespace {
 
-// Streaming FNV-1a over the canonical print, without materializing it:
-// recompiles fingerprint every parse, so this sits on the edit-loop hot
-// path. The hash_* functions below mirror frontend/printer.cpp byte for
-// byte — fingerprint_decl(d).hash must equal fnv1a64 over
-// "<kind>\x1f<name>\x1f" + canonical_print_decl(d), which
-// tests/test_incremental.cpp pins differentially for every app decl.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-
-  void feed(char c) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  void feed(std::string_view s) {
-    for (const char c : s) feed(c);
-  }
-  void pad(int indent) {
-    for (int i = 0; i < indent * 2; ++i) feed(' ');
-  }
-};
-
-void hash_expr(const Expr& e, Fnv& f) {
-  switch (e.kind) {
-    case ExprKind::IntLit: {
-      const auto* lit = e.as<IntLitExpr>();
-      if (lit->is_time) {
-        const std::uint64_t v = lit->value;
-        if (v % 1'000'000'000 == 0) {
-          f.feed(std::to_string(v / 1'000'000'000));
-          f.feed('s');
-        } else if (v % 1'000'000 == 0) {
-          f.feed(std::to_string(v / 1'000'000));
-          f.feed("ms");
-        } else if (v % 1'000 == 0) {
-          f.feed(std::to_string(v / 1'000));
-          f.feed("us");
-        } else {
-          f.feed(std::to_string(v));
-          f.feed("ns");
-        }
-        return;
-      }
-      f.feed(std::to_string(lit->value));
-      return;
-    }
-    case ExprKind::BoolLit:
-      f.feed(e.as<BoolLitExpr>()->value ? "true" : "false");
-      return;
-    case ExprKind::VarRef:
-      f.feed(e.as<VarRefExpr>()->name);
-      return;
-    case ExprKind::Unary: {
-      const auto* u = e.as<UnaryExpr>();
-      f.feed(unop_name(u->op));
-      f.feed('(');
-      hash_expr(*u->sub, f);
-      f.feed(')');
-      return;
-    }
-    case ExprKind::Binary: {
-      const auto* b = e.as<BinaryExpr>();
-      f.feed('(');
-      hash_expr(*b->lhs, f);
-      f.feed(' ');
-      f.feed(binop_name(b->op));
-      f.feed(' ');
-      hash_expr(*b->rhs, f);
-      f.feed(')');
-      return;
-    }
-    case ExprKind::Call: {
-      const auto* c = e.as<CallExpr>();
-      f.feed(c->callee);
-      f.feed('(');
-      for (std::size_t i = 0; i < c->args.size(); ++i) {
-        if (i > 0) f.feed(", ");
-        hash_expr(*c->args[i], f);
-      }
-      f.feed(')');
-      return;
-    }
-  }
-}
-
-void hash_stmt(const Stmt& s, int indent, Fnv& f);
-
-void hash_block(const Block& b, int indent, Fnv& f) {
-  f.feed("{\n");
-  for (const auto& s : b) hash_stmt(*s, indent + 1, f);
-  f.pad(indent);
-  f.feed('}');
-}
-
-void hash_stmt(const Stmt& s, int indent, Fnv& f) {
-  f.pad(indent);
-  switch (s.kind) {
-    case StmtKind::LocalDecl: {
-      const auto* d = s.as<LocalDeclStmt>();
-      f.feed(d->declared_type.str());
-      f.feed(' ');
-      f.feed(d->name);
-      f.feed(" = ");
-      hash_expr(*d->init, f);
-      f.feed(";\n");
-      return;
-    }
-    case StmtKind::Assign: {
-      const auto* a = s.as<AssignStmt>();
-      f.feed(a->name);
-      f.feed(" = ");
-      hash_expr(*a->value, f);
-      f.feed(";\n");
-      return;
-    }
-    case StmtKind::If: {
-      const auto* i = s.as<IfStmt>();
-      f.feed("if (");
-      hash_expr(*i->cond, f);
-      f.feed(") ");
-      hash_block(i->then_block, indent, f);
-      if (!i->else_block.empty()) {
-        f.feed(" else ");
-        hash_block(i->else_block, indent, f);
-      }
-      f.feed('\n');
-      return;
-    }
-    case StmtKind::ExprStmt:
-      hash_expr(*s.as<ExprStmt>()->expr, f);
-      f.feed(";\n");
-      return;
-    case StmtKind::Generate: {
-      const auto* g = s.as<GenerateStmt>();
-      f.feed(g->multicast ? "mgenerate " : "generate ");
-      hash_expr(*g->event, f);
-      f.feed(";\n");
-      return;
-    }
-    case StmtKind::Return: {
-      const auto* r = s.as<ReturnStmt>();
-      f.feed("return");
-      if (r->value) {
-        f.feed(' ');
-        hash_expr(*r->value, f);
-      }
-      f.feed(";\n");
-      return;
-    }
-  }
-}
-
-void hash_params(const std::vector<Param>& params, Fnv& f) {
-  f.feed('(');
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (i > 0) f.feed(", ");
-    f.feed(params[i].type.str());
-    f.feed(' ');
-    f.feed(params[i].name);
-  }
-  f.feed(')');
-}
-
-void hash_decl(const Decl& d, Fnv& f) {
-  switch (d.kind) {
-    case DeclKind::Const: {
-      const auto* c = d.as<ConstDecl>();
-      f.feed("const ");
-      f.feed(c->declared_type.str());
-      f.feed(' ');
-      f.feed(d.name);
-      f.feed(" = ");
-      hash_expr(*c->value, f);
-      f.feed(";\n");
-      return;
-    }
-    case DeclKind::Global: {
-      const auto* g = d.as<GlobalDecl>();
-      f.feed("global ");
-      f.feed(d.name);
-      f.feed(" = new Array<<");
-      f.feed(std::to_string(g->width));
-      f.feed(">>(");
-      hash_expr(*g->size, f);
-      f.feed(");\n");
-      return;
-    }
-    case DeclKind::Memop: {
-      const auto* m = d.as<MemopDecl>();
-      f.feed("memop ");
-      f.feed(d.name);
-      hash_params(m->params, f);
-      f.feed(' ');
-      hash_block(m->body, 0, f);
-      f.feed('\n');
-      return;
-    }
-    case DeclKind::Fun: {
-      const auto* fn = d.as<FunDecl>();
-      f.feed("fun ");
-      f.feed(fn->return_type.str());
-      f.feed(' ');
-      f.feed(d.name);
-      hash_params(fn->params, f);
-      f.feed(' ');
-      hash_block(fn->body, 0, f);
-      f.feed('\n');
-      return;
-    }
-    case DeclKind::Event: {
-      const auto* e = d.as<EventDecl>();
-      f.feed("event ");
-      f.feed(d.name);
-      hash_params(e->params, f);
-      f.feed(";\n");
-      return;
-    }
-    case DeclKind::Handler: {
-      const auto* h = d.as<HandlerDecl>();
-      f.feed("handle ");
-      f.feed(d.name);
-      hash_params(h->params, f);
-      f.feed(' ');
-      hash_block(h->body, 0, f);
-      f.feed('\n');
-      return;
-    }
-    case DeclKind::Group: {
-      const auto* g = d.as<GroupDecl>();
-      f.feed("const group ");
-      f.feed(d.name);
-      f.feed(" = {");
-      for (std::size_t i = 0; i < g->members.size(); ++i) {
-        if (i > 0) f.feed(", ");
-        hash_expr(*g->members[i], f);
-      }
-      f.feed("};\n");
-      return;
-    }
-  }
+// Hashes "<kind>\x1f<name>\x1f" + the printed decl, built in `buf` so a
+// caller fingerprinting many decls reuses one allocation.
+DeclFingerprint fingerprint_into(std::string& buf, const Decl& d) {
+  buf.clear();
+  buf += decl_kind_name(d.kind);
+  buf += '\x1f';
+  buf += d.name;
+  buf += '\x1f';
+  append_decl(buf, d);
+  return DeclFingerprint{d.kind, d.name, fnv1a64(buf)};
 }
 
 }  // namespace
 
 DeclFingerprint fingerprint_decl(const Decl& d) {
-  DeclFingerprint fp;
-  fp.kind = d.kind;
-  fp.name = d.name;
-  Fnv f;
-  f.feed(decl_kind_name(d.kind));
-  f.feed('\x1f');
-  f.feed(d.name);
-  f.feed('\x1f');
-  hash_decl(d, f);
-  fp.hash = f.h;
-  return fp;
+  std::string buf;
+  return fingerprint_into(buf, d);
 }
 
 std::vector<DeclFingerprint> fingerprint_program(const Program& p) {
   std::vector<DeclFingerprint> out;
   out.reserve(p.decls.size());
-  for (const auto& d : p.decls) out.push_back(fingerprint_decl(*d));
+  std::string buf;
+  for (const auto& d : p.decls) out.push_back(fingerprint_into(buf, *d));
   return out;
 }
 

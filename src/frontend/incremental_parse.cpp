@@ -127,6 +127,14 @@ std::optional<std::vector<DeclSpan>> scan_decl_spans(std::string_view source) {
   return spans;
 }
 
+Program parse_span(std::string_view source, const DeclSpan& span,
+                   DiagnosticEngine& diags) {
+  Lexer lexer(source.substr(span.begin, span.end - span.begin), diags,
+              span.start);
+  Parser parser(lexer.lex_all(), diags);
+  return parser.parse_program();
+}
+
 std::optional<IncrementalParseResult> incremental_parse(
     std::string_view source, std::string_view prev_source,
     const std::vector<DeclSpan>& prev_spans, const Program& prev,
@@ -147,7 +155,8 @@ std::optional<IncrementalParseResult> incremental_parse(
   }
 
   IncrementalParseResult result;
-  for (const DeclSpan& span : *spans) {
+  for (std::size_t si = 0; si < spans->size(); ++si) {
+    const DeclSpan& span = (*spans)[si];
     const std::string_view text =
         source.substr(span.begin, span.end - span.begin);
     int matched = -1;
@@ -165,21 +174,20 @@ std::optional<IncrementalParseResult> incremental_parse(
     if (matched >= 0) {
       // Splice the previous node by pointer. Its source ranges still point
       // at prev's buffer layout — byte-identical span text means the decl
-      // body is unchanged, but its file offset may have shifted; diagnostics
-      // against spliced decls keep the old positions (documented contract).
+      // body is unchanged, but its file offset may have shifted. Sema does
+      // not re-check a clean spliced decl, and the recompile re-parses any
+      // spliced decl it does re-check (parse_span), so re-check diagnostics
+      // carry this buffer's positions.
       result.program.decls.push_back(prev.decls[static_cast<std::size_t>(matched)]);
       result.spliced_from.push_back(matched);
+      result.span_of.push_back(si);
       ++result.reused;
       continue;
     }
-    // Re-lex just this span, with positions anchored at its whole-file
-    // location, and parse whatever decls it holds (normally exactly one).
-    Lexer lexer(text, diags, span.start);
-    Parser parser(lexer.lex_all(), diags);
-    Program piece = parser.parse_program();
-    for (auto& d : piece.decls) {
+    for (auto& d : parse_span(source, span, diags).decls) {
       result.program.decls.push_back(std::move(d));
       result.spliced_from.push_back(-1);
+      result.span_of.push_back(si);
     }
   }
   result.spans = std::move(*spans);

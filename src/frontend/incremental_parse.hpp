@@ -15,8 +15,9 @@
 //     recompile planner can reuse the previous fingerprint without
 //     re-printing.
 //   * Spliced nodes are shared between compilations and must not be mutated;
-//     CompilerDriver::recompile deep-clones (frontend::clone_decl) any
-//     spliced decl that lands in the sema dirty set before re-checking it.
+//     CompilerDriver::recompile re-parses (parse_span) any spliced decl that
+//     lands in the sema dirty set before re-checking it, so a re-checked
+//     decl reports against this buffer's positions, as a cold parse does.
 //   * Anything irregular — scanner failure on either buffer, an unknown
 //     leading keyword, prev's parse having dropped decls — returns nullopt
 //     and the caller falls back to a full Parser::parse. Incremental parse
@@ -50,11 +51,19 @@ struct DeclSpan {
 [[nodiscard]] std::optional<std::vector<DeclSpan>> scan_decl_spans(
     std::string_view source);
 
+/// Lexes and parses the decls in `source`'s `span`, with whole-file
+/// positions; diagnostics go to `diags`.
+[[nodiscard]] Program parse_span(std::string_view source, const DeclSpan& span,
+                                 DiagnosticEngine& diags);
+
 struct IncrementalParseResult {
   Program program;
   /// Parallel to program.decls: the index into prev.decls each decl was
   /// spliced from, or -1 when its span was re-parsed.
   std::vector<int> spliced_from;
+  /// Parallel to program.decls: the index into `spans` of the span each
+  /// decl came from (a span may hold zero or several decls).
+  std::vector<std::size_t> span_of;
   /// The new buffer's span table — callers cache it on the new compilation
   /// so the *next* edit scans only its own buffer (see
   /// Compilation::decl_spans).

@@ -1,183 +1,272 @@
 #include "frontend/printer.hpp"
 
-#include <sstream>
+#include <charconv>
 
 namespace lucid::frontend {
 
 namespace {
 
-std::string pad(int indent) {
-  return std::string(static_cast<std::size_t>(indent) * 2, ' ');
+// One walk appends every node to one buffer: the pretty-printer, the
+// canonical form and the structural fingerprints all read these bytes.
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
 }
 
-}  // namespace
+void pad(std::string& out, int indent) {
+  out.append(static_cast<std::size_t>(indent) * 2, ' ');
+}
 
-std::string print_expr(const Expr& e) {
+void append_expr(std::string& out, const Expr& e) {
   switch (e.kind) {
     case ExprKind::IntLit: {
       const auto* lit = e.as<IntLitExpr>();
-      if (lit->is_time) {
-        // Print in the largest exact unit.
-        const std::uint64_t v = lit->value;
-        if (v % 1'000'000'000 == 0) return std::to_string(v / 1'000'000'000) + "s";
-        if (v % 1'000'000 == 0) return std::to_string(v / 1'000'000) + "ms";
-        if (v % 1'000 == 0) return std::to_string(v / 1'000) + "us";
-        return std::to_string(v) + "ns";
+      const std::uint64_t v = lit->value;
+      if (!lit->is_time) {
+        append_int(out, v);
+      } else if (v % 1'000'000'000 == 0) {  // the largest exact unit
+        append_int(out, v / 1'000'000'000);
+        out += 's';
+      } else if (v % 1'000'000 == 0) {
+        append_int(out, v / 1'000'000);
+        out += "ms";
+      } else if (v % 1'000 == 0) {
+        append_int(out, v / 1'000);
+        out += "us";
+      } else {
+        append_int(out, v);
+        out += "ns";
       }
-      return std::to_string(lit->value);
+      return;
     }
     case ExprKind::BoolLit:
-      return e.as<BoolLitExpr>()->value ? "true" : "false";
+      out += e.as<BoolLitExpr>()->value ? "true" : "false";
+      return;
     case ExprKind::VarRef:
-      return e.as<VarRefExpr>()->name;
+      out += e.as<VarRefExpr>()->name;
+      return;
     case ExprKind::Unary: {
       const auto* u = e.as<UnaryExpr>();
-      return std::string(unop_name(u->op)) + "(" + print_expr(*u->sub) + ")";
+      out += unop_name(u->op);
+      out += '(';
+      append_expr(out, *u->sub);
+      out += ')';
+      return;
     }
     case ExprKind::Binary: {
       const auto* b = e.as<BinaryExpr>();
-      return "(" + print_expr(*b->lhs) + " " + std::string(binop_name(b->op)) +
-             " " + print_expr(*b->rhs) + ")";
+      out += '(';
+      append_expr(out, *b->lhs);
+      out += ' ';
+      out += binop_name(b->op);
+      out += ' ';
+      append_expr(out, *b->rhs);
+      out += ')';
+      return;
     }
     case ExprKind::Call: {
       const auto* c = e.as<CallExpr>();
-      std::ostringstream os;
-      os << c->callee << "(";
+      out += c->callee;
+      out += '(';
       for (std::size_t i = 0; i < c->args.size(); ++i) {
-        if (i > 0) os << ", ";
-        os << print_expr(*c->args[i]);
+        if (i > 0) out += ", ";
+        append_expr(out, *c->args[i]);
       }
-      os << ")";
-      return os.str();
+      out += ')';
+      return;
     }
   }
-  return "<bad-expr>";
+  out += "<bad-expr>";
 }
 
-std::string print_block(const Block& b, int indent) {
-  std::ostringstream os;
-  os << "{\n";
-  for (const auto& s : b) os << print_stmt(*s, indent + 1);
-  os << pad(indent) << "}";
-  return os.str();
+void append_stmt(std::string& out, const Stmt& s, int indent);
+
+void append_block(std::string& out, const Block& b, int indent) {
+  out += "{\n";
+  for (const auto& s : b) append_stmt(out, *s, indent + 1);
+  pad(out, indent);
+  out += '}';
 }
 
-std::string print_stmt(const Stmt& s, int indent) {
-  std::ostringstream os;
-  os << pad(indent);
+void append_stmt(std::string& out, const Stmt& s, int indent) {
+  pad(out, indent);
   switch (s.kind) {
     case StmtKind::LocalDecl: {
       const auto* d = s.as<LocalDeclStmt>();
-      os << d->declared_type.str() << " " << d->name << " = "
-         << print_expr(*d->init) << ";\n";
-      break;
+      out += d->declared_type.str();
+      out += ' ';
+      out += d->name;
+      out += " = ";
+      append_expr(out, *d->init);
+      out += ";\n";
+      return;
     }
     case StmtKind::Assign: {
       const auto* a = s.as<AssignStmt>();
-      os << a->name << " = " << print_expr(*a->value) << ";\n";
-      break;
+      out += a->name;
+      out += " = ";
+      append_expr(out, *a->value);
+      out += ";\n";
+      return;
     }
     case StmtKind::If: {
       const auto* i = s.as<IfStmt>();
-      os << "if (" << print_expr(*i->cond) << ") "
-         << print_block(i->then_block, indent);
+      out += "if (";
+      append_expr(out, *i->cond);
+      out += ") ";
+      append_block(out, i->then_block, indent);
       if (!i->else_block.empty()) {
-        os << " else " << print_block(i->else_block, indent);
+        out += " else ";
+        append_block(out, i->else_block, indent);
       }
-      os << "\n";
-      break;
+      out += '\n';
+      return;
     }
     case StmtKind::ExprStmt:
-      os << print_expr(*s.as<ExprStmt>()->expr) << ";\n";
-      break;
+      append_expr(out, *s.as<ExprStmt>()->expr);
+      out += ";\n";
+      return;
     case StmtKind::Generate: {
       const auto* g = s.as<GenerateStmt>();
-      os << (g->multicast ? "mgenerate " : "generate ")
-         << print_expr(*g->event) << ";\n";
-      break;
+      out += g->multicast ? "mgenerate " : "generate ";
+      append_expr(out, *g->event);
+      out += ";\n";
+      return;
     }
     case StmtKind::Return: {
       const auto* r = s.as<ReturnStmt>();
-      os << "return";
-      if (r->value) os << " " << print_expr(*r->value);
-      os << ";\n";
-      break;
+      out += "return";
+      if (r->value) {
+        out += ' ';
+        append_expr(out, *r->value);
+      }
+      out += ";\n";
+      return;
     }
   }
-  return os.str();
 }
 
-namespace {
-
-std::string print_params(const std::vector<Param>& params) {
-  std::ostringstream os;
-  os << "(";
+void append_params(std::string& out, const std::vector<Param>& params) {
+  out += '(';
   for (std::size_t i = 0; i < params.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << params[i].type.str() << " " << params[i].name;
+    if (i > 0) out += ", ";
+    out += params[i].type.str();
+    out += ' ';
+    out += params[i].name;
   }
-  os << ")";
-  return os.str();
+  out += ')';
+}
+
+/// `(params) {body}\n`: the tail shared by memop, fun and handle.
+void append_callable(std::string& out, const std::vector<Param>& params,
+                     const Block& body) {
+  append_params(out, params);
+  out += ' ';
+  append_block(out, body, 0);
+  out += '\n';
 }
 
 }  // namespace
 
-std::string print_decl(const Decl& d) {
-  std::ostringstream os;
+void append_decl(std::string& out, const Decl& d) {
   switch (d.kind) {
     case DeclKind::Const: {
       const auto* c = d.as<ConstDecl>();
-      os << "const " << c->declared_type.str() << " " << d.name << " = "
-         << print_expr(*c->value) << ";\n";
-      break;
+      out += "const ";
+      out += c->declared_type.str();
+      out += ' ';
+      out += d.name;
+      out += " = ";
+      append_expr(out, *c->value);
+      out += ";\n";
+      return;
     }
     case DeclKind::Global: {
       const auto* g = d.as<GlobalDecl>();
-      os << "global " << d.name << " = new Array<<" << g->width << ">>("
-         << print_expr(*g->size) << ");\n";
-      break;
+      out += "global ";
+      out += d.name;
+      out += " = new Array<<";
+      append_int(out, g->width);
+      out += ">>(";
+      append_expr(out, *g->size);
+      out += ");\n";
+      return;
     }
     case DeclKind::Memop: {
       const auto* m = d.as<MemopDecl>();
-      os << "memop " << d.name << print_params(m->params) << " "
-         << print_block(m->body, 0) << "\n";
-      break;
+      out += "memop ";
+      out += d.name;
+      append_callable(out, m->params, m->body);
+      return;
     }
     case DeclKind::Fun: {
       const auto* f = d.as<FunDecl>();
-      os << "fun " << f->return_type.str() << " " << d.name
-         << print_params(f->params) << " " << print_block(f->body, 0) << "\n";
-      break;
+      out += "fun ";
+      out += f->return_type.str();
+      out += ' ';
+      out += d.name;
+      append_callable(out, f->params, f->body);
+      return;
     }
-    case DeclKind::Event: {
-      const auto* e = d.as<EventDecl>();
-      os << "event " << d.name << print_params(e->params) << ";\n";
-      break;
-    }
+    case DeclKind::Event:
+      out += "event ";
+      out += d.name;
+      append_params(out, d.as<EventDecl>()->params);
+      out += ";\n";
+      return;
     case DeclKind::Handler: {
       const auto* h = d.as<HandlerDecl>();
-      os << "handle " << d.name << print_params(h->params) << " "
-         << print_block(h->body, 0) << "\n";
-      break;
+      out += "handle ";
+      out += d.name;
+      append_callable(out, h->params, h->body);
+      return;
     }
     case DeclKind::Group: {
       const auto* g = d.as<GroupDecl>();
-      os << "const group " << d.name << " = {";
+      out += "const group ";
+      out += d.name;
+      out += " = {";
       for (std::size_t i = 0; i < g->members.size(); ++i) {
-        if (i > 0) os << ", ";
-        os << print_expr(*g->members[i]);
+        if (i > 0) out += ", ";
+        append_expr(out, *g->members[i]);
       }
-      os << "};\n";
-      break;
+      out += "};\n";
+      return;
     }
   }
-  return os.str();
+}
+
+std::string print_expr(const Expr& e) {
+  std::string out;
+  append_expr(out, e);
+  return out;
+}
+
+std::string print_block(const Block& b, int indent) {
+  std::string out;
+  append_block(out, b, indent);
+  return out;
+}
+
+std::string print_stmt(const Stmt& s, int indent) {
+  std::string out;
+  append_stmt(out, s, indent);
+  return out;
+}
+
+std::string print_decl(const Decl& d) {
+  std::string out;
+  append_decl(out, d);
+  return out;
 }
 
 std::string print_program(const Program& p) {
-  std::ostringstream os;
-  for (const auto& d : p.decls) os << print_decl(*d);
-  return os.str();
+  std::string out;
+  for (const auto& d : p.decls) append_decl(out, *d);
+  return out;
 }
 
 // The pretty-printer already renders purely from the AST — no comments, one

@@ -1,6 +1,7 @@
 // Pretty-printer: renders an AST back to Lucid surface syntax.
-// Used for debugging dumps and parser round-trip tests (parse → print →
-// parse must produce a structurally identical tree).
+// Used for debugging dumps, parser round-trip tests (parse → print →
+// parse must produce a structurally identical tree) and, through
+// append_decl, as the preimage of the structural fingerprints.
 #pragma once
 
 #include <string>
@@ -8,6 +9,10 @@
 #include "frontend/ast.hpp"
 
 namespace lucid::frontend {
+
+/// Appends the printed decl to `out`: the one walk every print_* and
+/// frontend::fingerprint_decl runs.
+void append_decl(std::string& out, const Decl& d);
 
 [[nodiscard]] std::string print_expr(const Expr& e);
 [[nodiscard]] std::string print_stmt(const Stmt& s, int indent = 0);

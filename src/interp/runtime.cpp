@@ -236,13 +236,8 @@ bool Runtime::exec_stmt(Frame& frame, const Stmt& s, Val* ret) {
       const auto* g = s.as<GenerateStmt>();
       const Val v = eval(frame, *g->event);
       if (!v.is_event()) return false;
-      sched::GenEvent ev;
-      ev.event_id = v.ev->event_id;
-      ev.args = v.ev->args;
-      ev.delay_ns = v.ev->delay_ns;
-      ev.location = v.ev->location;
-      ev.multicast = v.ev->multicast || g->multicast;
-      ev.members = v.ev->members;
+      sched::GenEvent ev = *v.ev;
+      ev.multicast = ev.multicast || g->multicast;
       if (ev.event_id >= 0 &&
           static_cast<std::size_t>(ev.event_id) < gen_count_by_id_.size()) {
         ++gen_count_by_id_[static_cast<std::size_t>(ev.event_id)];
@@ -430,7 +425,7 @@ Runtime::Val Runtime::eval_call(Frame& frame, const CallExpr& c) {
     }
     case CallKind::EventCtor: {
       Val out;
-      out.ev = std::make_shared<EventValue>();
+      out.ev = std::make_shared<sched::GenEvent>();
       const auto eit = events_by_name_.find(std::string_view(c.callee));
       const EventDecl* ev =
           eit == events_by_name_.end() ? nullptr : eit->second;
@@ -446,22 +441,21 @@ Runtime::Val Runtime::eval_call(Frame& frame, const CallExpr& c) {
     }
     case CallKind::EventDelay: {
       Val inner = eval(frame, *c.args[0]);
-      if (inner.is_event()) inner.ev->delay_ns = int_arg(1);
+      if (inner.is_event()) inner.own_event().delay_ns = int_arg(1);
       return inner;
     }
     case CallKind::EventLocate: {
       Val inner = eval(frame, *c.args[0]);
       if (!inner.is_event()) return inner;
       const Expr& loc = *c.args[1];
+      sched::GenEvent& ev = inner.own_event();
       if (loc.kind == ExprKind::VarRef && loc.as<VarRefExpr>()->is_group) {
-        inner.ev->multicast = true;
+        ev.multicast = true;
         for (const auto& g : comp_->ir().groups) {
-          if (g.name == loc.as<VarRefExpr>()->name) {
-            inner.ev->members = g.members;
-          }
+          if (g.name == loc.as<VarRefExpr>()->name) ev.members = g.members;
         }
       } else {
-        inner.ev->location = eval(frame, loc).i;
+        ev.location = eval(frame, loc).i;
       }
       return inner;
     }

@@ -84,19 +84,18 @@ class Runtime {
   }
 
  private:
-  struct EventValue {
-    int event_id = -1;
-    std::vector<Value> args;
-    sim::Time delay_ns = 0;
-    std::int64_t location = -1;
-    bool multicast = false;
-    std::vector<std::int64_t> members;
-  };
-
+  /// An int or an event value. Events are values, as in the IR lowering:
+  /// copies share one GenEvent until one of them is written.
   struct Val {
     Value i = 0;
-    std::shared_ptr<EventValue> ev;
+    std::shared_ptr<sched::GenEvent> ev;
     [[nodiscard]] bool is_event() const { return ev != nullptr; }
+    /// The event for writing, un-shared first, so `Event.delay(e, t)`
+    /// leaves `e` as it was.
+    sched::GenEvent& own_event() {
+      if (ev.use_count() > 1) ev = std::make_shared<sched::GenEvent>(*ev);
+      return *ev;
+    }
   };
 
   /// Handler-execution locals: a flat vector beats any tree/hash map at the

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "native/abi.hpp"
 #include "native/emit.hpp"
 #include "native/jit.hpp"
 
@@ -22,21 +21,9 @@ class NativeBackend final : public Backend {
   [[nodiscard]] BackendArtifact emit(Compilation& comp) override {
     BackendArtifact artifact;
     artifact.backend = name();
-    if (!comp.pipeline().feasible) {
-      comp.diags().error({}, "native-layout-infeasible",
-                         "cannot emit native module: pipeline layout is "
-                         "infeasible");
+    if (auto violation = check_envelope(comp)) {
+      comp.diags().error({}, violation->code, violation->message);
       return artifact;
-    }
-    for (const auto& ev : comp.ir().events) {
-      if (ev.params.size() > static_cast<std::size_t>(kMaxArgs)) {
-        comp.diags().error({}, "native-too-many-params",
-                           "event " + ev.name + " has " +
-                               std::to_string(ev.params.size()) +
-                               " params; the native ABI caps at " +
-                               std::to_string(kMaxArgs));
-        return artifact;
-      }
     }
 
     const EmittedModule m = emit_source(comp, comp.options().program_name);

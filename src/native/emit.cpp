@@ -578,6 +578,23 @@ class Emitter {
 
 }  // namespace
 
+std::optional<EnvelopeViolation> check_envelope(const Compilation& comp) {
+  if (!comp.pipeline().feasible) {
+    return EnvelopeViolation{"native-layout-infeasible",
+                             "pipeline layout is infeasible; the native "
+                             "engine cannot run it"};
+  }
+  for (const auto& ev : comp.ir().events) {
+    if (ev.params.size() > static_cast<std::size_t>(kMaxArgs)) {
+      return EnvelopeViolation{
+          "native-too-many-params",
+          "event " + ev.name + " has " + std::to_string(ev.params.size()) +
+              " params; the native ABI caps at " + std::to_string(kMaxArgs)};
+    }
+  }
+  return std::nullopt;
+}
+
 EmittedModule emit_source(const Compilation& comp,
                           std::string_view program_name) {
   Emitter e(comp.ir(), comp.pipeline(), program_name);

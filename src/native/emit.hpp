@@ -7,6 +7,7 @@
 // only that handler.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,9 +23,20 @@ struct EmittedModule {
   int loc = 0;        // lines emitted
 };
 
-/// Emits the module source for a compilation whose Layout stage succeeded.
-/// Pure rendering: feasibility/limit checks are the backend's job
-/// (src/native/backend.cpp).
+/// Why the native engine cannot run `comp` (an infeasible layout, or an
+/// event with more than kMaxArgs params) as a diagnostic code and message.
+struct EnvelopeViolation {
+  std::string code;
+  std::string message;
+};
+
+/// The engine's envelope, checked by both NativeBackend::emit and
+/// Program::build: nullopt when `comp` (Layout succeeded) fits.
+[[nodiscard]] std::optional<EnvelopeViolation> check_envelope(
+    const Compilation& comp);
+
+/// Emits the module source for a compilation whose Layout stage succeeded
+/// and that passes check_envelope. Pure rendering.
 [[nodiscard]] EmittedModule emit_source(const Compilation& comp,
                                         std::string_view program_name);
 

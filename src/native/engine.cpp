@@ -110,16 +110,7 @@ std::shared_ptr<const Program> Program::build(ConstCompilationPtr comp,
   if (!comp || !comp->succeeded(Stage::Layout) || !comp->ok()) {
     return fail("native engine needs a compilation that passed Layout");
   }
-  if (!comp->pipeline().feasible) {
-    return fail("pipeline layout is infeasible; nothing to compile");
-  }
-  for (const auto& ev : comp->ir().events) {
-    if (ev.params.size() > static_cast<std::size_t>(kMaxArgs)) {
-      return fail("event " + ev.name + " has " +
-                  std::to_string(ev.params.size()) +
-                  " params; native ABI caps at " + std::to_string(kMaxArgs));
-    }
-  }
+  if (auto violation = check_envelope(*comp)) return fail(violation->message);
 
   auto prog = std::make_shared<Program>();
   prog->comp_ = std::move(comp);

@@ -245,22 +245,63 @@ TEST(Fingerprint, DeclOrderIsPartOfTheStructuralHash) {
   EXPECT_EQ(a, b);  // the decl *set* is identical; only the order moved
 }
 
-TEST(Fingerprint, StreamingHashMatchesTheCanonicalPrintPreimage) {
-  // fingerprint_decl streams bytes into FNV-1a without materializing the
-  // canonical print; this pins the two code paths (fingerprint.cpp's
-  // hash_* mirror vs printer.cpp) to each other for every decl of every
-  // app. A divergence silently changes every cache key.
-  for (const apps::AppSpec& spec : apps::all_apps()) {
-    SCOPED_TRACE(spec.key);
-    const Program p = parse_ok(spec.source);
-    for (const auto& d : p.decls) {
-      const std::string preimage =
-          std::string(frontend::decl_kind_name(d->kind)) + '\x1f' + d->name +
-          '\x1f' + frontend::canonical_print_decl(*d);
-      EXPECT_EQ(frontend::fingerprint_decl(*d).hash, fnv1a64(preimage))
-          << frontend::canonical_print_decl(*d);
-    }
+// Reaches every printer branch: time literals in all four units, bool
+// literals, unary/binary/call expressions, every statement kind (with and
+// without `else`, `return` with and without a value, `mgenerate`), and
+// every decl kind.
+constexpr const char* kEveryPrinterBranch = R"(const int NS = 7ns;
+const int US = 3us;
+const int MS = 2ms;
+const int SEC = 1s;
+const bool ON = true;
+const group PEERS = {1, 2};
+group MORE = {3};
+global arr = new Array<<16>>(8);
+memop keep(int cur, int x) { if (cur == 0) { return x; } else { return cur; } }
+fun int twice(int a) { int b = a + a; return b; }
+fun void nop() { return; }
+event tick(int<<16>> a);
+handle tick(int<<16>> a) {
+  int x = twice(a);
+  x = -x;
+  bool f = !(x == ~x);
+  Array.set(arr, 0, keep, x);
+  nop();
+  if (f) { generate Event.delay(tick(x), US + 1500ns); } else { mgenerate Event.locate(tick(x), PEERS); }
+  event e = tick(1);
+  if (false) { generate e; }
+  generate tick(1);
+}
+)";
+
+TEST(Fingerprint, StructuralHashesMatchTheirGoldenValues) {
+  // The artifact cache keys. Any change to the printed form or to the
+  // fingerprint preimage changes them; these values were recorded before
+  // fingerprints were computed from the printer's own bytes.
+  const std::vector<std::pair<std::string, std::uint64_t>> apps_golden = {
+      {"SFW", 0x3c395485257bfbcaull},      {"RR", 0xabe731811cf80d64ull},
+      {"DNS", 0x7d35ee1e8badae5bull},      {"StarFlow", 0x6f66898ec4ca7b5full},
+      {"SRO", 0xb903bbf460fb2956ull},      {"DFW", 0xdb89bd175049ef22ull},
+      {"DFWA", 0xf70b78045de001b0ull},     {"RIP", 0x759ae9850febd6cfull},
+      {"NAT", 0x3a2c82a51dcf2ee1ull},      {"CM", 0x75b339e40a86bc59ull},
+  };
+  ASSERT_EQ(apps::all_apps().size(), apps_golden.size());
+  for (const auto& [key, golden] : apps_golden) {
+    SCOPED_TRACE(key);
+    EXPECT_EQ(frontend::structural_hash(parse_ok(apps::app(key).source)),
+              golden);
   }
+
+  frontend::ProgenConfig cfg;
+  cfg.handlers = 240;  // 512 decls with the default satellite counts
+  cfg.stmts_per_handler = 28;
+  const Program progen = parse_ok(frontend::generate_program(cfg));
+  ASSERT_EQ(progen.decls.size(), 512u);
+  EXPECT_EQ(frontend::structural_hash(progen), 0xc5f4f4814cff1168ull);
+
+  const Program every = parse_ok(kEveryPrinterBranch);
+  ASSERT_EQ(every.decls.size(), 13u);
+  EXPECT_EQ(frontend::structural_hash(every), 0xab0ebca30b176301ull);
 }
 
 TEST(Fingerprint, CanonicalPrintIsAFixedPoint) {

@@ -280,7 +280,7 @@ TEST(RecompileParse, SplicesAndCountsReusedDecls) {
   };
   EXPECT_EQ(find_decl(rec->ast(), DeclKind::Handler, "tock"),
             find_decl(prev->ast(), DeclKind::Handler, "tock"));
-  // The dirty decl was un-shared (deep-cloned) before its body re-check.
+  // The dirty decl was un-shared (re-parsed) before its body re-check.
   EXPECT_NE(find_decl(rec->ast(), DeclKind::Handler, "tick"),
             find_decl(prev->ast(), DeclKind::Handler, "tick"));
 
@@ -290,6 +290,33 @@ TEST(RecompileParse, SplicesAndCountsReusedDecls) {
   // And the human `--time-passes` table surfaces the Parse reuse.
   EXPECT_NE(rec->timing_report().find("(reused 9 decls)"), std::string::npos)
       << rec->timing_report();
+}
+
+TEST(RecompileParse, ReCheckedSplicedDeclReportsWhereAColdCompileDoes) {
+  // `handle other` is byte-identical across the edit, so it is spliced,
+  // and the edit to `ev` dirties it. Its re-check reports against the new
+  // buffer: line 4, where a cold compile of `after` reports, not line 3,
+  // where the spliced node sat in `before`.
+  const std::string before =
+      "event ev(int<<32>> a);\n"
+      "event other(int<<32>> a);\n"
+      "handle other(int<<32>> a) { generate ev(a); }\n";
+  const std::string after =
+      "event ev(int<<32>> a,\n"
+      "         int<<32>> b);\n"
+      "event other(int<<32>> a);\n"
+      "handle other(int<<32>> a) { generate ev(a); }\n";
+  const CompilerDriver driver({}, &test_registry());
+  const CompilationPtr prev = driver.run(before);
+  ASSERT_TRUE(prev->ok()) << prev->diags().render();
+
+  const CompilationPtr cold = driver.run(after);
+  const CompilationPtr rec = driver.recompile(prev, after);
+  ASSERT_FALSE(cold->ok());
+  EXPECT_FALSE(rec->ok());
+  EXPECT_EQ(rec->record(Stage::Parse).decls_reused, 2);
+  EXPECT_EQ(cold->diags().all().front().range.begin.line, 4u);
+  EXPECT_EQ(rec->diags().render(), cold->diags().render());
 }
 
 TEST(RecompileParse, SpanCacheIsSharedAcrossEdits) {

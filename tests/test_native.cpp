@@ -106,6 +106,41 @@ TEST(NativeDifferential, GeneratedProgramsByteIdenticalState) {
   }
 }
 
+// Events are values: `Event.delay(e, t)` and `Event.locate(e, n)` return a
+// changed copy and leave `e` as it was, in the interpreter as in the
+// lowering. Each program generates the changed copy and then `e` itself,
+// so an engine that aliases the two delays (or routes) both.
+TEST(NativeDifferential, EventCombinatorsLeaveTheirArgumentUnchanged) {
+  const std::string prelude =
+      "global hits = new Array<<32>>(8);\n"
+      "memop plus(int cur, int x) { return cur + x; }\n"
+      "event hit(int a);\n"
+      "event tick(int a);\n"
+      "handle hit(int a) { Array.set(hits, a & 7, plus, 1); }\n";
+  const std::string delay =
+      prelude +
+      "handle tick(int a) {\n"
+      "  event e = hit(7);\n"
+      "  generate Event.delay(e, 50us);\n"
+      "  generate e;\n"
+      "  generate Event.delay(tick(a + 1), 10us);\n"
+      "}\n";
+  const std::string locate =
+      prelude +
+      "handle tick(int a) {\n"
+      "  event e = hit(7);\n"
+      "  generate Event.locate(e, 2);\n"
+      "  generate e;\n"
+      "  generate Event.delay(tick(a + 1), 10us);\n"
+      "}\n";
+  for (const auto& [name, source] :
+       {std::pair{"delay", delay}, std::pair{"locate", locate}}) {
+    const auto out = diff::run_differential(source, name, 7, 200);
+    EXPECT_TRUE(out.ok) << name << ": " << out.detail;
+    EXPECT_GT(out.interp.executed, 0u) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-app parameterized suites: the parameter indexes apps::all_apps()
 // ---------------------------------------------------------------------------
@@ -651,6 +686,49 @@ TEST(NativeBackend, RegisteredAndEmits) {
   for (const char* gone : {"lucid_native_run_batch", "lucid_native_max_gens",
                            "lucid_native_run_one"}) {
     EXPECT_EQ(art.text.find(gone), std::string::npos) << gone;
+  }
+}
+
+// The engine's envelope (native::check_envelope) rejects the same programs
+// through both entry points: Program::build and the registered backend.
+TEST(NativeBackend, EnvelopeRejectsThroughBuildAndEmit) {
+  register_default_backends();
+  std::string too_many;
+  for (int i = 0; i < kMaxArgs + 1; ++i) {
+    too_many += (i > 0 ? ", int a" : "int a") + std::to_string(i);
+  }
+  DriverOptions no_salus;  // no stage can hold a register array
+  no_salus.model.salus_per_stage = 0;
+  const struct {
+    const char* code;
+    std::string source;
+    DriverOptions options;
+  } cases[] = {
+      {"native-layout-infeasible", apps::app("SFW").source, no_salus},
+      {"native-too-many-params",
+       "event big(" + too_many + ");\nhandle big(" + too_many +
+           ") { int x = a0; }\n",
+       DriverOptions{}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.code);
+    const CompilerDriver driver(c.options);
+    const CompilationPtr comp = driver.run(c.source, Stage::Layout);
+    ASSERT_TRUE(comp->ok()) << comp->diags().render();
+
+    const auto violation = check_envelope(*comp);
+    ASSERT_TRUE(violation.has_value());
+    EXPECT_EQ(violation->code, c.code);
+
+    std::string err;
+    EXPECT_EQ(Program::build(comp, &err), nullptr);
+    EXPECT_EQ(err, violation->message);
+
+    const BackendArtifact art = driver.emit(comp, "native");
+    EXPECT_FALSE(art.ok);
+    ASSERT_FALSE(comp->diags().all().empty());
+    EXPECT_EQ(comp->diags().all().back().code, c.code);
+    EXPECT_EQ(comp->diags().all().back().message, violation->message);
   }
 }
 
