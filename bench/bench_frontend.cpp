@@ -14,8 +14,9 @@
 //                per variant (cold) vs one opt::analyze_layout plus eight
 //                index-based merges (shared)    — target >= 2x
 //   sweep        the same grid, three backends: eight cold driver runs vs
-//                SweepEngine (serial) and SweepEngine over a warm
-//                ArtifactCache (cached)         — measured
+//                SweepEngine (serial) and SweepEngine over a warm on-disk
+//                ArtifactCache in a private temp directory, the path of
+//                `lucidc --sweep --cache-dir` (cached) — measured
 //   incremental  the ten apps: cold compile vs CompilerDriver::recompile of
 //                a formatting-only edit (hit)   — target >= 2x
 //                and of a one-handler edit (edit), whose Sema+Lower stage
@@ -24,15 +25,19 @@
 // Every reuse path must match its cold path: shared layout's
 // Pipeline::str() on every variant; the hit and edit recompiles' p4 + ebpf
 // text, IR, pipeline and diagnostics on every app; the 512-decl edit's IR,
-// pipeline and diagnostics; and every sweep's SweepReport::ok. A divergence
-// exits 1 at once. A missed target exits 1 after the JSON is written.
+// pipeline and diagnostics; every sweep's SweepReport::ok; and every
+// emission of a warm-cache sweep coming from the cache. A divergence exits 1
+// at once. A missed target exits 1 after the JSON is written.
 //
 // Each measurement alternates its cold and reuse runs in rounds
 // (interleaved_ms), so a slow spell on a shared host lands on both sides of
 // a ratio instead of one.
+#include <unistd.h>
+
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -277,7 +282,7 @@ struct SweepRow {
   std::string key;
   double cold_ms = 0;    // kSweepReps x 8 driver runs + 3 emissions each
   double serial_ms = 0;  // kSweepReps x SweepEngine
-  double cached_ms = 0;  // kSweepReps x SweepEngine over a warm ArtifactCache
+  double cached_ms = 0;  // kSweepReps x SweepEngine over a warm disk cache
   std::map<std::string, double> serial_emit_ms;  // per backend
   std::map<std::string, double> cached_emit_ms;  // per backend
   void add(const SweepRow& o) {
@@ -306,7 +311,8 @@ struct SweepRow {
 };
 
 void run_sweep(const apps::AppSpec& spec,
-               const std::vector<SweepVariant>& variants, ArtifactCache* cache,
+               const std::vector<SweepVariant>& variants,
+               const ArtifactCache* cache,
                std::map<std::string, double>* emit_ms = nullptr) {
   SweepOptions opts;
   opts.variants = variants;
@@ -318,6 +324,10 @@ void run_sweep(const apps::AppSpec& spec,
   if (emit_ms == nullptr) return;
   for (const SweepVariantReport& vr : report.variants) {
     for (const SweepEmission& e : vr.emissions) {
+      if (cache != nullptr && !e.from_cache) {
+        fatal(spec.key + "/" + vr.variant.label + "/" + e.backend +
+              ": warm-cache sweep emission was not served from the cache");
+      }
       (*emit_ms)[e.backend] += e.wall_ms;
     }
   }
@@ -325,7 +335,7 @@ void run_sweep(const apps::AppSpec& spec,
 
 SweepRow measure_sweep(const apps::AppSpec& spec,
                        const std::vector<SweepVariant>& variants,
-                       ArtifactCache& cache) {
+                       const ArtifactCache& cache) {
   SweepRow r;
   r.key = spec.key;
   const auto ms = interleaved_ms(
@@ -547,7 +557,12 @@ int main() {
   j.arr_open("backends");
   for (const std::string& b : kBackends) j.item(b);
   j.arr_close();
-  ArtifactCache cache;
+  // The cached sweeps read and write a private directory, removed below.
+  std::string cache_dir = (std::filesystem::temp_directory_path() /
+                           "lucid-bench-frontend-XXXXXX")
+                              .string();
+  if (::mkdtemp(cache_dir.data()) == nullptr) fatal("cannot create cache dir");
+  const ArtifactCache cache(cache_dir);
   const SweepRow sweep = per_app_section<SweepRow>(
       j,
       [&](const apps::AppSpec& spec) {
@@ -559,6 +574,7 @@ int main() {
                     ratio(r.cold_ms, r.serial_ms),
                     ratio(r.cold_ms, r.cached_ms));
       });
+  std::filesystem::remove_all(cache_dir);
   j.field("speedup_cold_over_serial", ratio(sweep.cold_ms, sweep.serial_ms))
       .field("speedup_cold_over_cached", ratio(sweep.cold_ms, sweep.cached_ms))
       .obj_close();

@@ -13,13 +13,14 @@
 //    batch loop (native::measure_raw_batch_pps) — the ceiling once the
 //    event-loop bookkeeping is amortized away.
 //
-// 2. Observability overhead. The same synthetic batches through the
-//    instrumented Module::run_batch with tracing compiled in but disabled
-//    (obs-off) and with tracing enabled at 1/256 sampling (obs-256),
-//    against the raw batch loop. No host runs the instrumented wrapper
-//    (every Replica calls run_batch_raw), so this gates the wrapper's cost,
-//    not that of a shipping path. Modes are interleaved per rep and
-//    best-of kept, so machine drift hits all three alike.
+// 2. Observability overhead, on the path that ships: the Replica event
+//    loop. One burst schedule per app through a 1-shard ReplicaFleet in
+//    three modes: no per-shard instruments (raw, label_metrics=false),
+//    per-shard instruments with tracing compiled in but disabled (obs-off),
+//    and per-shard instruments with tracing enabled at 1/256 sampling
+//    (obs-256). Throughput is pipeline passes per second of run_until wall
+//    time. Modes are interleaved per rep and best-of kept, so machine drift
+//    hits all three alike.
 //
 // 3. Scaling. A burst schedule on SFW, partitioned by a ReplicaFleet at
 //    1/2/4/8 shards. SFW's merged pass count is shard-count invariant
@@ -63,7 +64,9 @@ using namespace lucid;
 constexpr int kTrafficEvents = 2000;
 constexpr int kReps = 3;
 constexpr double kRequiredSpeedup = 10.0;
-constexpr double kBatchSeconds = 0.08;  // per mode per rep (section 2)
+constexpr double kBatchSeconds = 0.08;  // raw batch loop, per rep
+constexpr int kObsBursts = 2000;  // section 2 schedule, per app
+constexpr int kObsReps = 9;
 constexpr double kMaxDisabledOverhead = 0.05;  // obs-off vs raw
 constexpr double kMaxSampledOverhead = 0.10;   // obs-256 vs raw
 constexpr int kScaleBursts = 400;
@@ -84,16 +87,13 @@ struct AppRow {
   double interp_pps = 0.0;
   double native_pps = 0.0;
   double speedup = 0.0;
-  double batch_pps = 0.0;    // raw run_batch, no event loop
+  double batch_pps = 0.0;    // raw run_batch_raw, no event loop
   double compile_ms = 0.0;
-  double off_pps = 0.0;      // instrumented run_batch, tracing disabled
-  double sampled_pps = 0.0;  // instrumented run_batch, 1/256 sampling
-  [[nodiscard]] double off_ratio() const {
-    return batch_pps > 0 ? off_pps / batch_pps : 0.0;
-  }
-  [[nodiscard]] double sampled_ratio() const {
-    return batch_pps > 0 ? sampled_pps / batch_pps : 0.0;
-  }
+  double raw_pps = 0.0;      // 1-shard fleet, no per-shard instruments
+  double off_pps = 0.0;      // instruments on, tracing disabled
+  double sampled_pps = 0.0;  // instruments on, 1/256 sampling
+  double off_ratio = 0.0;      // obs-off / raw, median over reps
+  double sampled_ratio = 0.0;  // obs-256 / raw, median over reps
 };
 
 struct ScalePoint {
@@ -156,31 +156,72 @@ AppRow run_app(const apps::AppSpec& spec, std::uint64_t seed) {
   return row;
 }
 
-/// Section 2: raw vs obs-off vs obs-256 on the same synthetic batches.
+double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+
+/// The raw batch loop's pps (the section 1 ceiling), best of kReps.
 void measure_batches(AppRow& row) {
-  const ir::ProgramIR& ir = row.prog->ir();
-  const native::Module& mod = row.prog->module();
-  const native::BatchCall instrumented =
-      [&mod](std::int64_t* const* arrays, const native::PacketIn* in,
-             std::int32_t n, native::GenOut* out, std::int32_t* counts) {
-        mod.run_batch(arrays, in, n, out, counts);
-      };
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.disable();
   for (int rep = 0; rep < kReps; ++rep) {
     row.batch_pps = std::max(
-        row.batch_pps, native::measure_raw_batch_pps(ir, mod, kBatchSeconds));
-    row.off_pps = std::max(row.off_pps, native::measure_batch_pps(
-                                            ir, mod, instrumented,
-                                            kBatchSeconds));
-    obs::TracerConfig cfg;
-    cfg.sample_every = 256;
-    tracer.enable(cfg);
-    row.sampled_pps = std::max(row.sampled_pps, native::measure_batch_pps(
-                                                    ir, mod, instrumented,
-                                                    kBatchSeconds));
-    tracer.disable();
+        row.batch_pps, native::measure_raw_batch_pps(
+                           row.prog->ir(), row.prog->module(), kBatchSeconds));
   }
+}
+
+/// Section 2: raw vs obs-off vs obs-256 on one burst schedule through a
+/// 1-shard fleet.
+void measure_obs(AppRow& row) {
+  const auto sched = native::diff::make_burst_schedule(
+      row.prog->ir(), 0x0B5E7, kObsBursts, kBurstSize);
+  const auto run_pps = [&](bool label_metrics) {
+    native::FleetConfig fcfg;
+    fcfg.label_metrics = label_metrics;
+    native::ReplicaFleet fleet(row.prog, fcfg);
+    for (const auto& e : sched.entries) {
+      fleet.schedule_inject(e.t, e.event, e.args);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    fleet.run_until(sched.horizon);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    return wall > 0 ? static_cast<double>(fleet.merged_stats().executed) / wall
+                    : 0.0;
+  };
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.disable();
+  (void)run_pps(false);  // warm the allocator and caches
+  std::vector<double> off_ratios;
+  std::vector<double> sampled_ratios;
+  for (int rep = 0; rep < kObsReps; ++rep) {
+    // One rep runs every mode once. Which mode runs first rotates, so none
+    // always pays for the rep's fresh allocations; the gate compares modes
+    // within a rep, so drift between reps cancels.
+    double pps[3] = {};
+    for (int k = 0; k < 3; ++k) {
+      const int mode = (rep + k) % 3;
+      if (mode == 2) {
+        obs::TracerConfig cfg;
+        cfg.sample_every = 256;
+        tracer.enable(cfg);
+      }
+      pps[mode] = run_pps(mode != 0);
+      tracer.disable();
+    }
+    row.raw_pps = std::max(row.raw_pps, pps[0]);
+    row.off_pps = std::max(row.off_pps, pps[1]);
+    row.sampled_pps = std::max(row.sampled_pps, pps[2]);
+    if (pps[0] > 0) {
+      off_ratios.push_back(pps[1] / pps[0]);
+      sampled_ratios.push_back(pps[2] / pps[0]);
+    }
+  }
+  row.off_ratio = median(off_ratios);
+  row.sampled_ratio = median(sampled_ratios);
 }
 
 /// Section 3: one burst schedule, partitioned by the fleet at 1/2/4/8
@@ -274,7 +315,10 @@ int main() {
   std::uint64_t seed = 0xBE11C0DE;
   for (const auto& spec : apps::all_apps()) {
     rows.push_back(run_app(spec, seed++));
-    if (rows.back().prog != nullptr) measure_batches(rows.back());
+    if (rows.back().prog != nullptr) {
+      measure_batches(rows.back());
+      measure_obs(rows.back());
+    }
   }
 
   // -- section 1: speedup ----------------------------------------------------
@@ -304,13 +348,15 @@ int main() {
               min_speedup, speedup_geomean, kRequiredSpeedup);
 
   // -- section 2: observability overhead -------------------------------------
-  std::printf("\n  %-8s | %12s | %12s | %12s | %8s | %8s\n", "app", "raw pps",
+  std::printf("\n  replica loop, 1-shard fleet, %d bursts of %d\n", kObsBursts,
+              kBurstSize);
+  std::printf("  %-8s | %12s | %12s | %12s | %8s | %8s\n", "app", "raw pps",
               "obs-off pps", "obs-256 pps", "off/raw", "256/raw");
   bench::print_rule();
   for (const auto& r : rows) {
     std::printf("  %-8s | %12.0f | %12.0f | %12.0f | %8.3f | %8.3f\n",
-                r.key.c_str(), r.batch_pps, r.off_pps, r.sampled_pps,
-                r.off_ratio(), r.sampled_ratio());
+                r.key.c_str(), r.raw_pps, r.off_pps, r.sampled_pps,
+                r.off_ratio, r.sampled_ratio);
   }
   const double off_geomean = geomean(rows, &AppRow::off_ratio);
   const double sampled_geomean = geomean(rows, &AppRow::sampled_ratio);
@@ -371,16 +417,21 @@ int main() {
   j.field("min_speedup", min_speedup)
       .field("geomean_speedup", speedup_geomean);
   j.obj_open("obs")
+      .field("subject", "replica_loop")
+      .field("bursts", kObsBursts)
+      .field("burst_size", kBurstSize)
+      .field("reps", kObsReps)
       .field("max_disabled_overhead", kMaxDisabledOverhead)
       .field("max_sampled_overhead", kMaxSampledOverhead);
   j.arr_open("apps");
   for (const auto& r : rows) {
     j.obj_open()
         .field("key", r.key)
+        .field("raw_pps", r.raw_pps)
         .field("obs_off_pps", r.off_pps)
         .field("obs_sampled_pps", r.sampled_pps)
-        .field("off_ratio", r.off_ratio())
-        .field("sampled_ratio", r.sampled_ratio())
+        .field("off_ratio", r.off_ratio)
+        .field("sampled_ratio", r.sampled_ratio)
         .obj_close();
   }
   j.arr_close()

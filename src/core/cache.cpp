@@ -6,41 +6,26 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
-#include "frontend/fingerprint.hpp"
-#include "frontend/parser.hpp"
-#include "frontend/printer.hpp"
+#include "obs/metrics.hpp"
+#include "support/strings.hpp"  // fnv1a64
 
 namespace lucid {
 
-std::string options_fingerprint(const DriverOptions& options, Stage upto) {
+std::string options_fingerprint(const DriverOptions& options) {
+  const opt::ResourceModel& m = options.model;
   std::ostringstream os;
-  // Model-dependent inputs only appear at the depth that consumes them:
-  // below Stage::Layout the fingerprint is empty, which is what lets a
-  // Lower-deep master (and its shared LayoutAnalysis) serve every resource
-  // model without invalidation.
-  if (upto >= Stage::Layout) {
-    const opt::ResourceModel& m = options.model;
-    os << "model:" << m.max_stages << "," << m.tables_per_stage << ","
-       << m.salus_per_stage << "," << m.rules_per_table << ","
-       << m.members_per_table << "," << m.alu_ops_per_stage << ";";
-  }
-  if (upto >= Stage::Emit) {
-    os << "name:" << options.program_name << ";";
-  }
+  os << "model:" << m.max_stages << "," << m.tables_per_stage << ","
+     << m.salus_per_stage << "," << m.rules_per_table << ","
+     << m.members_per_table << "," << m.alu_ops_per_stage << ";";
+  os << "name:" << options.program_name << ";";
   return os.str();
 }
 
 namespace {
-
-Stage clamp_keep_stage(Stage s) {
-  const int i = static_cast<int>(s);
-  if (i < static_cast<int>(Stage::Sema)) return Stage::Sema;
-  if (i > static_cast<int>(Stage::Layout)) return Stage::Layout;
-  return s;
-}
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -49,175 +34,59 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
+obs::Counter& hits_counter() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "lucid_artifact_cache_hits_total",
+      "Emitted artifacts served from the on-disk artifact cache");
+  return c;
+}
+
+obs::Counter& misses_counter() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "lucid_artifact_cache_misses_total",
+      "Artifact cache loads that found no usable entry");
+  return c;
+}
+
+obs::Counter& writes_counter() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "lucid_artifact_cache_writes_total",
+      "Emitted artifacts published to the on-disk artifact cache");
+  return c;
+}
+
 }  // namespace
 
-ArtifactCache::ArtifactCache(Stage keep_stage, std::string cache_dir)
-    : keep_stage_(clamp_keep_stage(keep_stage)), dir_(std::move(cache_dir)) {}
-
-std::uint64_t ArtifactCache::source_key(std::string_view source) {
-  const std::uint64_t raw = fnv1a64(source);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = key_memo_.find(raw);
-    if (it != key_memo_.end()) return it->second;
-  }
-  // Probe parse outside the lock (sources parse independently; a duplicate
-  // race just stores the same value twice).
-  DiagnosticEngine diags{std::string(source)};
-  const frontend::Program probe = frontend::Parser::parse(source, diags);
-  const std::uint64_t key =
-      diags.has_errors() ? raw : frontend::structural_hash(probe);
-  std::lock_guard<std::mutex> lock(mu_);
-  key_memo_.emplace(raw, key);
-  return key;
-}
-
-CompilationPtr ArtifactCache::compile(const CompilerDriver& driver,
-                                      std::string_view source, bool* hit) {
-  const std::string fp = options_fingerprint(driver.options(), keep_stage_);
-  if (hit != nullptr) *hit = false;
-
-  // Structural keying, cheapest-first: the byte-hash memo resolves repeat
-  // lookups of previously seen bytes without parsing, and a hit whose
-  // master holds these exact bytes needs no structural confirmation. Only
-  // a *new formatting variant* of a cached program pays a probe parse —
-  // the structural program_equal guard against its master's AST needs the
-  // tree. An unparsable source keeps the raw byte hash — it can never be
-  // cached anyway (failures are not stored), so the key only routes it to
-  // a miss. A first-time miss parses once here and once inside driver.run
-  // below; the probe cannot be handed over (the master must own its stage
-  // records and diagnostics), and parse is the cheapest stage.
-  const std::uint64_t raw = fnv1a64(source);
-  std::optional<std::uint64_t> memo_key;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = key_memo_.find(raw);
-    if (it != key_memo_.end()) memo_key = it->second;
-  }
-  std::optional<frontend::Program> probe;
-  bool parsed = false;
-  const auto ensure_probe = [&] {
-    if (probe.has_value()) return;
-    DiagnosticEngine probe_diags{std::string(source)};
-    probe = frontend::Parser::parse(source, probe_diags);
-    parsed = !probe_diags.has_errors();
-  };
-  std::uint64_t key = 0;
-  if (memo_key.has_value()) {
-    key = *memo_key;
-    parsed = key != raw;  // raw keys are only ever memoized for parse fails
-  } else {
-    ensure_probe();
-    key = parsed ? frontend::structural_hash(*probe) : raw;
-    std::lock_guard<std::mutex> lock(mu_);
-    key_memo_.emplace(raw, key);
-  }
-
-  // Pull the candidate entry out, then confirm it without holding the
-  // lock (masters are immutable; the shared_ptr keeps ours alive even if
-  // the entry is concurrently replaced).
-  ConstCompilationPtr master;
-  std::string entry_fp;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      master = it->second.master;
-      entry_fp = it->second.fingerprint;
-    }
-  }
-  if (master != nullptr) {
-    // The hash is only a bucket key; a hit is confirmed byte-for-byte
-    // against the master's source or — for a formatting variant —
-    // structurally against its AST (memoized per byte variant), so a
-    // collision can never serve another program's artifacts.
-    bool same = master->source() == source;
-    if (!same) {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = confirmed_.find(raw);
-      same = it != confirmed_.end() && it->second == master.get();
-    }
-    if (!same) {
-      ensure_probe();
-      same = parsed && frontend::program_equal(*probe, master->ast());
-      if (same) {
-        std::lock_guard<std::mutex> lock(mu_);
-        confirmed_[raw] = master.get();
-      }
-    }
-    if (same && entry_fp == fp) {
-      CompilationPtr clone =
-          master->clone_from_stage(keep_stage_, driver.options());
-      if (clone != nullptr) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.hits;
-        if (hit != nullptr) *hit = true;
-        return clone;
-      }
-      // A master that cannot be cloned is a stale entry; fall through.
-    }
-    if (same) {
-      // Same program, different option fingerprint (or unclonable): the
-      // cached artifacts are stale for this caller — drop and recompile.
-      // Pointer identity guards the erase against a concurrent replace.
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = entries_.find(key);
-      if (it != entries_.end() && it->second.master == master) {
-        ++stats_.invalidations;
-        entries_.erase(it);
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-  }
-
-  // Front end runs outside the lock (compilations of different sources may
-  // proceed in parallel; a duplicate race just overwrites an equal entry).
-  CompilationPtr fresh = driver.run(source, keep_stage_);
-  if (!fresh->succeeded(keep_stage_)) return fresh;  // failures not cached
-
-  CompilationPtr clone = fresh->clone_from_stage(keep_stage_,
-                                                 driver.options());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_[key] = Entry{fp, fresh};
-  }
-  return clone != nullptr ? clone : fresh;
-}
-
-// ---------------------------------------------------------------------------
-// Disk layer (emitted backend artifacts)
-// ---------------------------------------------------------------------------
+ArtifactCache::ArtifactCache(std::string cache_dir)
+    : dir_(std::move(cache_dir)) {}
 
 std::string ArtifactCache::artifact_path(std::uint64_t source_key,
                                          const DriverOptions& options,
                                          std::string_view backend) const {
-  const std::string fp = options_fingerprint(options, Stage::Emit);
   // The key spells out the backend name and compiler version so artifacts
   // for the same source from different emitters (p4 vs ebpf) or different
   // compiler builds can never collide on disk; the in-file "compiler" record
   // stays as a second line of defense for hand-copied entries. source_key
   // is the *structural* key, so every formatting variant of a program maps
   // to one disk entry.
-  std::string name = hex64(source_key) + "-" + hex64(fnv1a64(fp)) + "-" +
+  std::string name = hex64(source_key) + "-" +
+                     hex64(fnv1a64(options_fingerprint(options))) + "-" +
                      std::string(backend) + "-v" + std::string(kLucidVersion) +
                      ".art";
   return dir_ + "/" + name;
 }
 
 std::optional<BackendArtifact> ArtifactCache::load_artifact(
-    std::string_view source, const DriverOptions& options,
-    std::string_view backend) {
-  if (dir_.empty()) return std::nullopt;
-  const std::uint64_t skey = source_key(source);
-  std::ifstream in(artifact_path(skey, options, backend), std::ios::binary);
-  const auto miss = [this]() -> std::optional<BackendArtifact> {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.disk_misses;
+    const Compilation& comp, std::string_view backend) const {
+  const auto miss = []() -> std::optional<BackendArtifact> {
+    misses_counter().add();
     return std::nullopt;
   };
+  if (dir_.empty()) return std::nullopt;
+  if (!comp.succeeded(Stage::Parse)) return miss();
+  const std::uint64_t skey = comp.structural_hash();
+  std::ifstream in(artifact_path(skey, comp.options(), backend),
+                   std::ios::binary);
   if (!in) return miss();
 
   std::string line;
@@ -262,29 +131,28 @@ std::optional<BackendArtifact> ArtifactCache::load_artifact(
   // An entry truncated before its text record (interrupted store) must be a
   // miss, not a successful empty artifact.
   if (!version_ok || !text_seen || artifact.backend != backend) return miss();
-  artifact.text.resize(text_size);
-  if (text_size > 0 &&
-      !in.read(artifact.text.data(),
-               static_cast<std::streamsize>(text_size))) {
-    return miss();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.disk_hits;
+  // The text is the rest of the file. The claimed size is never trusted to
+  // allocate: an entry whose size disagrees with the bytes actually there
+  // (truncated mid-text, or a corrupt size record) is a miss.
+  artifact.text.assign(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  if (artifact.text.size() != text_size) return miss();
+  hits_counter().add();
   return artifact;
 }
 
-void ArtifactCache::store_artifact(std::string_view source,
-                                   const DriverOptions& options,
-                                   const BackendArtifact& artifact) {
-  if (dir_.empty() || !artifact.ok) return;
+void ArtifactCache::store_artifact(const Compilation& comp,
+                                   const BackendArtifact& artifact) const {
+  if (dir_.empty() || !artifact.ok || !comp.succeeded(Stage::Parse)) return;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec) return;
   // Write-to-temp + rename keeps stores atomic: readers (other processes
   // sharing the cache dir included) only ever see complete entries, and a
   // crash or full disk leaves a .tmp file behind, not a corrupt entry.
-  const std::uint64_t skey = source_key(source);
-  const std::string path = artifact_path(skey, options, artifact.backend);
+  const std::uint64_t skey = comp.structural_hash();
+  const std::string path =
+      artifact_path(skey, comp.options(), artifact.backend);
   static std::atomic<unsigned> tmp_seq{0};
   const std::string tmp = path + ".tmp-" + std::to_string(::getpid()) + "-" +
                           std::to_string(tmp_seq.fetch_add(1));
@@ -313,26 +181,7 @@ void ArtifactCache::store_artifact(std::string_view source,
     std::filesystem::remove(tmp, ec);
     return;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.disk_writes;
-}
-
-ArtifactCache::Stats ArtifactCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-std::size_t ArtifactCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-void ArtifactCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  key_memo_.clear();
-  confirmed_.clear();
-  stats_ = Stats{};
+  writes_counter().add();
 }
 
 }  // namespace lucid

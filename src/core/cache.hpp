@@ -1,161 +1,77 @@
-// ArtifactCache: structurally keyed reuse of compiler artifacts across
-// driver invocations.
+// ArtifactCache: an on-disk store of emitted backend artifacts, shared by
+// driver invocations and processes (--cache-dir).
 //
-// Two layers:
-//
-//   * An in-memory front-end cache. The first compilation of a source runs
-//     Parse..keep_stage (default Lower — everything that is independent of
-//     the resource model) and parks the result as an immutable "master".
-//     Later compilations of *structurally identical* source get a
-//     Compilation::clone_from_stage of the master: the AST, analysis info,
-//     and IR are shared, only Layout/Emit re-run. Entries are invalidated
-//     when the structural key changes (a plain miss) or when the
-//     DriverOptions fingerprint relevant to the cached stages changes.
-//
-//   * An optional disk cache for emitted backend artifacts (--cache-dir).
-//     Emission output is a plain string, so it round-trips losslessly; the
-//     key covers the structural source key, the options fingerprint, the
-//     backend name, and the compiler version — artifacts for the same
-//     source from different emitters or compiler builds never collide.
-//     Only successful artifacts are stored.
+// Emission output is a plain string, so it round-trips losslessly. An entry
+// is keyed by the compilation's structural key, its options fingerprint,
+// the backend name and the compiler version, so artifacts for the same
+// source from different emitters or compiler builds never collide. Only
+// successful artifacts are stored. Front-end reuse is not the cache's job:
+// CompilerDriver::recompile and Compilation::clone_from_stage serve it.
 //
 // ---------------------------------------------------------------------------
-// The two cache key ingredients, side by side
+// The key
 // ---------------------------------------------------------------------------
 //
-// Every entry is keyed by (structural source key) x (options fingerprint);
-// the two cover disjoint inputs and invalidate independently:
+// *Structural key* — Compilation::structural_hash: FNV-1a over the ordered
+// per-decl fingerprint sequence of the compilation's parse
+// (frontend/fingerprint.hpp). It is whitespace-, comment- and
+// formatting-INSENSITIVE (a reformatted program is a hit) and decl-content-
+// and decl-order-SENSITIVE (declaration order assigns pipeline stages and
+// wire ids, so a reordered program is a different program). Pinned by
+// tests/test_incremental.cpp. A compilation whose Parse failed has no key:
+// loads miss and nothing is stored. Entries echo their structural key, so a
+// file-name collision cannot serve another program's artifact.
 //
-// *Structural source key* — frontend::structural_hash: FNV-1a over the
-// ordered per-decl fingerprint sequence (frontend/fingerprint.hpp), where
-// each DeclFingerprint hashes the decl's kind, name, and canonical print.
-// Properties (pinned by regression tests in tests/test_incremental.cpp):
+// *Options fingerprint* — options_fingerprint: the DriverOptions fields an
+// emission depends on (the resource model and the program name). It never
+// sees the source; the structural key never sees the options.
 //
-//   * whitespace-, comment-, and formatting-INSENSITIVE: reformatting a
-//     program is a plain cache hit — the canonical print is unchanged;
-//   * decl-content-SENSITIVE: editing any decl's body or signature is a
-//     miss;
-//   * decl-order-SENSITIVE: reordering decls is a miss — declaration order
-//     assigns pipeline stages (globals) and wire ids (events), so a
-//     reordered program is a genuinely different program.
+// Entries are published by write-to-temp + rename, so readers (other
+// processes included) only ever see complete entries. A corrupt or
+// truncated entry reads as a miss. Hits, misses and writes are counted in
+// obs::Registry as lucid_artifact_cache_{hits,misses,writes}_total.
 //
-// A source that does not parse falls back to the raw byte hash (and is
-// never cached — failures are not stored). Hash collisions cannot serve
-// wrong artifacts: memory hits are confirmed with frontend::program_equal
-// against the master's AST, and disk entries echo their structural key.
-//
-// *Options fingerprint* — options_fingerprint: the DriverOptions fields
-// that can influence stages up to the requested depth. Parse/Sema/Lower
-// depend on nothing; Layout adds the resource model; Emit adds the program
-// name. The fingerprint deliberately covers only *model-dependent* inputs
-// of the requested depth: a default (Lower-deep) cache entry is never
-// invalidated by a ResourceModel change, so the master — and the
-// model-independent opt::LayoutAnalysis it lazily owns
-// (Compilation::layout_analysis_ptr) — keeps being shared across sweeps
-// over different models. It is whitespace-irrelevant by construction (it
-// never sees the source); the structural key is options-irrelevant — each
-// guards its own axis.
-//
-// Thread safety: every public member is safe to call concurrently; the map
-// is mutex-guarded and cached masters are immutable once inserted (clones
-// never mutate their donor).
+// Thread safety: the cache holds no mutable state; any number of threads
+// may load and store at once.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "core/driver.hpp"
-#include "support/strings.hpp"  // fnv1a64 (the cache key hash)
 
 namespace lucid {
 
-/// Stable fingerprint of the DriverOptions fields that can influence stages
-/// up to and including `upto` (see the "side by side" section in the file
-/// header for how it composes with the structural source key).
-[[nodiscard]] std::string options_fingerprint(const DriverOptions& options,
-                                              Stage upto);
+/// Stable fingerprint of the DriverOptions fields an emission depends on
+/// (see the file header for how it composes with the structural key).
+[[nodiscard]] std::string options_fingerprint(const DriverOptions& options);
 
 class ArtifactCache {
  public:
-  struct Stats {
-    std::size_t hits = 0;           // front-end clone served from memory
-    std::size_t misses = 0;         // front end had to run
-    std::size_t invalidations = 0;  // entry dropped: options changed
-    std::size_t disk_hits = 0;
-    std::size_t disk_misses = 0;
-    std::size_t disk_writes = 0;
-  };
+  /// The directory is created on first store. An empty `cache_dir` makes
+  /// every load a silent miss and every store a no-op.
+  explicit ArtifactCache(std::string cache_dir);
 
-  /// `keep_stage` is the deepest stage the in-memory layer caches (clamped
-  /// to [Sema, Layout]); `cache_dir` enables the disk layer when non-empty
-  /// (the directory is created on first store).
-  explicit ArtifactCache(Stage keep_stage = Stage::Lower,
-                         std::string cache_dir = {});
-
-  [[nodiscard]] Stage keep_stage() const { return keep_stage_; }
   [[nodiscard]] const std::string& cache_dir() const { return dir_; }
 
-  /// Returns a compilation for `source` whose stages through keep_stage have
-  /// run, reusing the cached front end when possible. Lookup is by the
-  /// structural source key, so a whitespace/comment/formatting variant of a
-  /// cached program is a hit (served from the master parsed from the
-  /// original bytes — structurally the same program). The returned
-  /// compilation always carries `driver.options()` and is exclusively the
-  /// caller's (even on a miss it is a clone; the stored master stays
-  /// pristine and immutable). A source whose front end fails is returned
-  /// as-is and never cached. `hit`, when non-null, reports whether the front
-  /// end was served from the cache (false means it ran just now).
-  [[nodiscard]] CompilationPtr compile(const CompilerDriver& driver,
-                                       std::string_view source,
-                                       bool* hit = nullptr);
-
-  /// The structural key `source` would be cached under:
-  /// frontend::structural_hash of its parse, or the raw byte hash when it
-  /// does not parse. Memoized by byte hash, so repeated lookups (one per
-  /// (variant, backend) emission in a sweep) parse at most once.
-  [[nodiscard]] std::uint64_t source_key(std::string_view source);
-
-  /// Disk layer: loads the emitted artifact for (source, options, backend),
-  /// or nullopt when the disk layer is off or the entry is absent/corrupt.
+  /// Loads the artifact emitted for (comp's structural key, comp.options(),
+  /// backend), or nullopt when the entry is absent or corrupt, or comp's
+  /// Parse did not succeed.
   [[nodiscard]] std::optional<BackendArtifact> load_artifact(
-      std::string_view source, const DriverOptions& options,
-      std::string_view backend);
+      const Compilation& comp, std::string_view backend) const;
 
-  /// Disk layer: stores a successful artifact; no-op when the layer is off
-  /// or the artifact failed.
-  void store_artifact(std::string_view source, const DriverOptions& options,
-                      const BackendArtifact& artifact);
-
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t size() const;
-  void clear();
+  /// Stores a successful artifact emitted from `comp`; no-op for a failed
+  /// artifact.
+  void store_artifact(const Compilation& comp,
+                      const BackendArtifact& artifact) const;
 
  private:
-  struct Entry {
-    std::string fingerprint;
-    ConstCompilationPtr master;
-  };
-
   [[nodiscard]] std::string artifact_path(std::uint64_t source_key,
                                           const DriverOptions& options,
                                           std::string_view backend) const;
 
-  Stage keep_stage_;
   std::string dir_;
-  mutable std::mutex mu_;
-  std::map<std::uint64_t, Entry> entries_;  // keyed by structural source key
-  std::map<std::uint64_t, std::uint64_t> key_memo_;  // byte hash -> key
-  /// Byte hash -> master these bytes were structurally confirmed against,
-  /// so repeat lookups of a known formatting variant skip the probe parse
-  /// and program_equal walk. Pointer identity self-invalidates when an
-  /// entry is replaced. (Like key_memo_, trusts the byte hash to identify
-  /// the bytes — the same 2^-64 collision class.)
-  std::map<std::uint64_t, const void*> confirmed_;
-  Stats stats_;
 };
 
 }  // namespace lucid

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "core/cache.hpp"
 #include "frontend/incremental_parse.hpp"
 #include "frontend/parser.hpp"
 #include "ir/ir.hpp"
@@ -435,8 +434,7 @@ CompilationPtr CompilerDriver::recompile(const ConstCompilationPtr& prev,
     Stage upto = static_cast<Stage>(last);
     if (last == static_cast<int>(Stage::Lower) &&
         prev->succeeded(Stage::Layout) &&
-        options_fingerprint(prev->options(), Stage::Layout) ==
-            options_fingerprint(options_, Stage::Layout)) {
+        prev->options().model == options_.model) {
       upto = Stage::Layout;
     }
     if (CompilationPtr hit = prev->clone_from_stage(upto, options_)) {

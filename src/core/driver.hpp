@@ -223,7 +223,8 @@ class Compilation : public std::enable_shared_from_this<Compilation> {
   /// Forks this compilation after stage `upto`: the clone shares (does not
   /// copy or re-run) every artifact through `upto` and runs later stages
   /// itself, under `options` (defaults to the donor's options). This is the
-  /// primitive behind resource-model sweeps and the artifact cache: Parse,
+  /// primitive behind resource-model sweeps and formatting-only recompiles:
+  /// Parse,
   /// Sema, and Lower are option-independent, so one front-end run can feed
   /// any number of Layout/Emit variants.
   ///

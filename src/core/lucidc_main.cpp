@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
 
   // Resource-model sweep: one front end, N variants, every backend each.
   if (sweep_requested) {
-    lucid::ArtifactCache cache(lucid::Stage::Lower, cache_dir);
+    const lucid::ArtifactCache cache(cache_dir);
     lucid::SweepOptions sweep_opts;
     sweep_opts.variants = std::move(sweep_variants);
     sweep_opts.program_name = path;
@@ -434,9 +434,8 @@ int main(int argc, char** argv) {
   }
 
   // Auto-fitting: bisect the smallest fitting resource model. Exit 0 only
-  // when every enumerated row found a fit inside the range. (FitOptions'
-  // cache stays a library affordance — a one-shot process has nothing to
-  // share, and --cache-dir is rejected above.)
+  // when every enumerated row found a fit inside the range. (--fit emits
+  // nothing, so --cache-dir is rejected above.)
   if (fit_requested) {
     lucid::FitOptions fit_opts;
     fit_opts.spec = std::move(*fit_parsed);
@@ -449,8 +448,8 @@ int main(int argc, char** argv) {
 
   // Incremental recompile: read the previous version up front (cheap
   // input validation), but defer compiling it until a compilation is
-  // actually needed — the --emit disk-cache fast path below can skip all
-  // compilation, including prev's.
+  // actually needed — the --emit disk-cache fast path below skips every
+  // stage past Parse, and prev's compile with them.
   std::string prev_source;
   if (!incremental_from.empty()) {
     bool prev_ok = false;
@@ -495,22 +494,27 @@ int main(int argc, char** argv) {
   if (!backend.empty()) {
     // Disk cache fast path: a prior invocation already emitted this
     // structural (source, options, backend) combination with this compiler
-    // version. A hit skips compilation entirely (the incremental prev
-    // compile included), so it also skips non-fatal diagnostics;
-    // --time-passes forces a real compile.
-    lucid::ArtifactCache cache(lucid::Stage::Lower, cache_dir);
+    // version. The key is the structural hash of this source's parse, so the
+    // lookup runs Parse on the compilation a miss then continues; a hit
+    // skips every later stage (the incremental prev compile included), so
+    // it also skips non-fatal diagnostics. --time-passes forces a real
+    // compile. With --incremental-from, a miss recompiles from prev, so the
+    // key parse is the one extra parse.
+    const lucid::ArtifactCache cache(cache_dir);
     if (!cache_dir.empty() && !time_passes) {
-      if (auto cached = cache.load_artifact(source, opts, backend)) {
+      comp = driver.run(source, lucid::Stage::Parse);
+      if (auto cached = cache.load_artifact(*comp, backend)) {
         std::cout << cached->text;
         return kExitOk;
       }
+      if (!incremental_from.empty()) comp = nullptr;
     }
-    make_comp();
+    if (comp == nullptr) make_comp();
     const lucid::BackendArtifact artifact = driver.emit(comp, backend);
     std::cerr << comp->diags().render();
     print_timings();
     if (!artifact.ok) return kExitError;
-    if (!cache_dir.empty()) cache.store_artifact(source, opts, artifact);
+    cache.store_artifact(*comp, artifact);
     std::cout << artifact.text;
     return kExitOk;
   }

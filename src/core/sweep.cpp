@@ -27,6 +27,27 @@ int* model_field(opt::ResourceModel& m, std::string_view name) {
   return nullptr;
 }
 
+/// Runs Parse..Lower once for a sweep or fit and records the front end's
+/// wall time and diagnostics in `report`.
+template <typename Report>
+CompilationPtr shared_front_end(std::string_view source,
+                                const std::string& program_name,
+                                BackendRegistry* registry, Report& report) {
+  DriverOptions opts;
+  opts.program_name = program_name;
+  const CompilationPtr base =
+      CompilerDriver(opts, registry).run(source, Stage::Lower);
+  for (const Stage s : {Stage::Parse, Stage::Sema, Stage::Lower}) {
+    const StageRecord& rec = base->record(s);
+    if (!rec.ran) continue;
+    report.frontend_wall_ms += rec.wall_ms;
+    for (const Diagnostic& d : base->stage_diagnostics(s)) {
+      report.frontend_diagnostics.push_back(d);
+    }
+  }
+  return base;
+}
+
 }  // namespace
 
 std::optional<std::vector<SweepVariant>> parse_sweep_grid(
@@ -185,9 +206,9 @@ std::string SweepReport::str() const {
      << " variants) ===\n";
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "front end: %d run%s (%.3f ms), shared by %zu variant%s\n",
-                frontend_runs, frontend_runs == 1 ? "" : "s", frontend_wall_ms,
-                variants.size(), variants.size() == 1 ? "" : "s");
+                "front end: 1 run (%.3f ms), shared by %zu variant%s\n",
+                frontend_wall_ms, variants.size(),
+                variants.size() == 1 ? "" : "s");
   os << buf;
   std::snprintf(buf, sizeof(buf),
                 "layout analysis: %.3f ms (computed once, shared by every "
@@ -276,34 +297,8 @@ SweepReport SweepEngine::run(std::string_view source,
   }
 
   // ---- Phase 1: one front end, shared by every variant -------------------
-  DriverOptions base_opts;
-  base_opts.program_name = options.program_name;
-  const CompilerDriver driver(base_opts, registry_);
-  bool cache_hit = false;
   const CompilationPtr base =
-      options.cache != nullptr
-          ? options.cache->compile(driver, source, &cache_hit)
-          : driver.run(source, Stage::Lower);
-  // A cache configured with keep_stage == Sema hands back a compilation that
-  // stops there; variants clone at Lower, so finish the front end here.
-  driver.run_until(base, Stage::Lower);
-
-  // A cache miss still ran the front end (inside the cache, on the stored
-  // master) even though the returned clone's records say "shared".
-  report.frontend_runs =
-      options.cache != nullptr ? (cache_hit ? 0 : 1)
-                               : (base->record(Stage::Parse).ran &&
-                                          !base->record(Stage::Parse).shared
-                                      ? 1
-                                      : 0);
-  for (const Stage s : {Stage::Parse, Stage::Sema, Stage::Lower}) {
-    const StageRecord& rec = base->record(s);
-    if (!rec.ran) continue;
-    report.frontend_wall_ms += rec.wall_ms;
-    for (const Diagnostic& d : base->stage_diagnostics(s)) {
-      report.frontend_diagnostics.push_back(d);
-    }
-  }
+      shared_front_end(source, options.program_name, registry_, report);
   if (!base->succeeded(Stage::Lower)) {
     report.ok = false;
     report.total_wall_ms = ms_since(sweep_t0);
@@ -312,8 +307,7 @@ SweepReport SweepEngine::run(std::string_view source,
 
   // The model-independent layout analysis (Phase A) is paid here, exactly
   // once: every variant clone resolves to this same artifact, so none of the
-  // Layout runs below recompute it. A warm cache's master may have computed
-  // it already — then this is a no-op and the wall time records ~0.
+  // Layout runs below recompute it.
   {
     const auto t0 = Clock::now();
     (void)base->layout_analysis_ptr();
@@ -362,8 +356,7 @@ SweepReport SweepEngine::run(std::string_view source,
       const auto t0 = Clock::now();
       const CompilationPtr& comp = compiled[i];
       if (options.cache != nullptr) {
-        if (auto cached = options.cache->load_artifact(source, comp->options(),
-                                                       em.backend)) {
+        if (auto cached = options.cache->load_artifact(*comp, em.backend)) {
           em.ok = cached->ok;
           em.from_cache = true;
           em.text = std::move(cached->text);
@@ -380,7 +373,7 @@ SweepReport SweepEngine::run(std::string_view source,
       BackendArtifact artifact = edriver.emit(eclone, em.backend);
       if (options.cache != nullptr && artifact.ok) {
         // Store before the fields move into the report (no artifact copy).
-        options.cache->store_artifact(source, comp->options(), artifact);
+        options.cache->store_artifact(*comp, artifact);
       }
       em.ok = artifact.ok;
       em.text = std::move(artifact.text);
@@ -417,8 +410,7 @@ std::string FitReport::str() const {
      << " in [" << lo << ".." << hi << "], " << rows.size() << " row"
      << (rows.size() == 1 ? "" : "s") << ") ===\n";
   char buf[160];
-  std::snprintf(buf, sizeof(buf), "front end: %d run%s (%.3f ms)\n",
-                frontend_runs, frontend_runs == 1 ? "" : "s",
+  std::snprintf(buf, sizeof(buf), "front end: 1 run (%.3f ms)\n",
                 frontend_wall_ms);
   os << buf;
   if (!frontend_diagnostics.empty()) {
@@ -468,29 +460,8 @@ FitReport SweepEngine::fit(std::string_view source,
   report.hi = options.spec.hi;
 
   // One front end for every row and probe, exactly as in run().
-  DriverOptions base_opts;
-  base_opts.program_name = options.program_name;
-  const CompilerDriver driver(base_opts, registry_);
-  bool cache_hit = false;
   const CompilationPtr base =
-      options.cache != nullptr
-          ? options.cache->compile(driver, source, &cache_hit)
-          : driver.run(source, Stage::Lower);
-  driver.run_until(base, Stage::Lower);
-  report.frontend_runs =
-      options.cache != nullptr ? (cache_hit ? 0 : 1)
-                               : (base->record(Stage::Parse).ran &&
-                                          !base->record(Stage::Parse).shared
-                                      ? 1
-                                      : 0);
-  for (const Stage s : {Stage::Parse, Stage::Sema, Stage::Lower}) {
-    const StageRecord& rec = base->record(s);
-    if (!rec.ran) continue;
-    report.frontend_wall_ms += rec.wall_ms;
-    for (const Diagnostic& d : base->stage_diagnostics(s)) {
-      report.frontend_diagnostics.push_back(d);
-    }
-  }
+      shared_front_end(source, options.program_name, registry_, report);
   if (!base->succeeded(Stage::Lower)) {
     report.ok = false;
     report.total_wall_ms = ms_since(fit_t0);

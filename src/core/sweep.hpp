@@ -4,10 +4,10 @@
 // emits every requested backend for every variant — the workflow behind
 // "which Tofino generation / stage budget does my program still fit?". The
 // engine pays for the front end exactly once: Parse, Sema, and Lower run a
-// single time (or come out of an ArtifactCache), every variant is a
-// Compilation::clone_from_stage of that shared front end, and every
-// (variant, backend) emission runs on its own Layout-level clone, so no
-// variant or emission mutates another's state.
+// single time, every variant is a Compilation::clone_from_stage of that
+// shared front end, and every (variant, backend) emission runs on its own
+// Layout-level clone (or comes out of an ArtifactCache), so no variant or
+// emission mutates another's state.
 //
 // Grid specs (the CLI's --sweep=<grid-spec>) are cross products over
 // resource-model fields:
@@ -53,7 +53,7 @@ struct SweepVariant {
 struct SweepEmission {
   std::string backend;
   bool ok = false;
-  bool from_cache = false;  // served from the ArtifactCache disk layer
+  bool from_cache = false;  // served from the ArtifactCache
   std::string text;
   std::map<std::string, std::int64_t> metrics;
   double wall_ms = 0.0;
@@ -75,16 +75,11 @@ struct SweepVariantReport {
 struct SweepReport {
   std::string program_name;
   bool ok = false;
-  /// Number of Parse stages actually executed during this sweep, across the
-  /// base compilation and every variant. 1 for a cold sweep, 0 when the
-  /// front end came out of a warm ArtifactCache — never the variant count:
-  /// that is the whole point.
-  int frontend_runs = 0;
   double frontend_wall_ms = 0.0;  // Parse+Sema+Lower cost (paid once)
   /// Wall-clock of the model-independent layout analysis (opt::
   /// LayoutAnalysis, Phase A), computed once and shared by every
   /// variant's Layout run — their StageRecords carry analysis_shared as
-  /// proof. ~0 when a warm cache's master had already computed it.
+  /// proof.
   double analysis_wall_ms = 0.0;
   double total_wall_ms = 0.0;     // wall clock of the whole sweep
   std::vector<Diagnostic> frontend_diagnostics;
@@ -102,9 +97,8 @@ struct SweepOptions {
   std::vector<SweepVariant> variants;  // empty -> single Tofino variant
   std::vector<std::string> backends = {"p4", "ebpf", "interp"};
   std::string program_name = "program";
-  /// Optional cache: the front end is acquired through it (memory layer) and
-  /// emissions are served from / stored to its disk layer when enabled.
-  ArtifactCache* cache = nullptr;
+  /// Optional cache: emissions are served from and stored to it.
+  const ArtifactCache* cache = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -150,7 +144,6 @@ struct FitReport {
   int hi = 0;
   bool ok = false;       // front end and every probe's layout succeeded
   bool all_fit = false;  // every row found a fitting value in [lo, hi]
-  int frontend_runs = 0;          // like SweepReport::frontend_runs
   double frontend_wall_ms = 0.0;
   double total_wall_ms = 0.0;
   std::vector<Diagnostic> frontend_diagnostics;
@@ -163,8 +156,6 @@ struct FitReport {
 struct FitOptions {
   FitSpec spec;
   std::string program_name = "program";
-  /// Optional cache for the front end (memory layer), as in SweepOptions.
-  ArtifactCache* cache = nullptr;
 };
 
 class SweepEngine {

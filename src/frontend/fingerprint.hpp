@@ -18,9 +18,10 @@
 //     global declaration order is the paper's pipeline-stage specification,
 //     and event order assigns wire ids).
 //
-// This is the key the ArtifactCache (core/cache) uses in place of a byte
-// hash of the source, and the unit of diffing for the incremental
-// recompile pipeline (CompilerDriver::recompile, sema::plan_recompile).
+// Compilation::structural_hash is this hash; the ArtifactCache (core/cache)
+// keys its disk entries by it in place of a byte hash of the source. The
+// fingerprints are also the unit of diffing for the incremental recompile
+// pipeline (CompilerDriver::recompile, sema::plan_recompile).
 #pragma once
 
 #include <cstdint>

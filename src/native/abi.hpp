@@ -15,7 +15,7 @@
 //   lucid_event_<id>(arrays, in, out) -> generate records written to out
 //
 // There is no batch entry point: the host keeps a dense event-id -> entry
-// table per module and loops over a batch itself (Module::run_batch).
+// table per module and loops over a batch itself (Module::run_batch_raw).
 //
 // `arrays` is one raw cell pointer per register array, in IR declaration
 // order (ir::ProgramIR::arrays). The module owns all semantics — width

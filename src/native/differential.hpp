@@ -126,7 +126,7 @@ inline Schedule make_schedule(const ir::ProgramIR& ir, std::uint64_t seed,
 /// of `burst_size` packets (distinct registration seqs, one arrival time),
 /// bursts spaced `gap_ns` apart. With the gap wider than the pipeline
 /// latency, every burst's pipeline passes finish together and the replica's
-/// batched event loop drains whole bursts into single run_batch calls —
+/// batched event loop drains whole bursts into single run_batch_raw calls —
 /// make_schedule's strictly increasing timestamps would cap every drain at
 /// one packet. Timers still seed once each, like make_schedule.
 inline Schedule make_burst_schedule(const ir::ProgramIR& ir,

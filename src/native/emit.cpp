@@ -40,7 +40,7 @@
 // writes its GenOut record where it runs, so records leave in site order ==
 // the order the interpreter's handler body reached each generate.
 //
-// Batch equivalence: the host (Module::run_batch) runs packets in order,
+// Batch equivalence: the host (Module::run_batch_raw) runs packets in order,
 // each straight through its handler's entry, so a batch is a sequence of
 // single-packet calls and state equivalence is trivial. A stage-major walk
 // over the batch (PISA's stage parallelism in software) would also preserve
@@ -322,7 +322,7 @@ class Emitter {
 
   /// The guard disjunction of `t`, or "" when the table is unguarded. The
   /// event-id half of the eBPF emitter's table_condition is the host's
-  /// dispatch table (Module::run_batch): each table sits in its handler's
+  /// dispatch table (Module::run_batch_raw): each table sits in its handler's
   /// lucid_event_<id> function.
   std::string table_condition(const AtomicTable& t) const {
     std::string dis;

@@ -41,8 +41,8 @@ const ir::EventInfo* validate_event(const ir::ProgramIR& ir,
 // Program
 // ---------------------------------------------------------------------------
 
-double measure_batch_pps(const ir::ProgramIR& ir, const Module& mod,
-                         const BatchCall& call, double budget_s) {
+double measure_raw_batch_pps(const ir::ProgramIR& ir, const Module& mod,
+                             double budget_s) {
   std::vector<const ir::EventInfo*> handlers;
   for (const auto& ev : ir.events) {
     if (ev.has_handler) handlers.push_back(&ev);
@@ -76,29 +76,20 @@ double measure_batch_pps(const ir::ProgramIR& ir, const Module& mod,
       static_cast<std::size_t>(std::max<std::int32_t>(mod.max_gens(), 1));
   std::vector<GenOut> out(static_cast<std::size_t>(kBatch) * stride);
   std::vector<std::int32_t> counts(static_cast<std::size_t>(kBatch));
-  call(ptrs.data(), in.data(), kBatch, out.data(), counts.data());  // warm
+  mod.run_batch_raw(ptrs.data(), in.data(), kBatch, out.data(),
+                    counts.data());  // warm
   std::uint64_t packets = 0;
   const auto t0 = std::chrono::steady_clock::now();
   double elapsed = 0.0;
   do {
-    call(ptrs.data(), in.data(), kBatch, out.data(), counts.data());
+    mod.run_batch_raw(ptrs.data(), in.data(), kBatch, out.data(),
+                      counts.data());
     packets += static_cast<std::uint64_t>(kBatch);
     elapsed = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
   } while (elapsed < budget_s);
   return elapsed > 0.0 ? static_cast<double>(packets) / elapsed : 0.0;
-}
-
-double measure_raw_batch_pps(const ir::ProgramIR& ir, const Module& mod,
-                             double budget_s) {
-  return measure_batch_pps(
-      ir, mod,
-      [&mod](std::int64_t* const* arrays, const PacketIn* in, std::int32_t n,
-             GenOut* out, std::int32_t* gen_counts) {
-        mod.run_batch_raw(arrays, in, n, out, gen_counts);
-      },
-      budget_s);
 }
 
 std::shared_ptr<const Program> Program::build(ConstCompilationPtr comp,

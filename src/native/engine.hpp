@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <queue>
 #include <string>
@@ -61,22 +60,11 @@ class Program {
   EmittedModule emitted_;
 };
 
-/// One batch call in the Module::run_batch signature, e.g. a wrapper around
-/// the raw or the instrumented batch loop.
-using BatchCall =
-    std::function<void(std::int64_t* const*, const PacketIn*, std::int32_t,
-                       GenOut*, std::int32_t*)>;
-
-/// Micro-measures `call`'s throughput (packets/sec) for `mod`'s program on a
-/// synthetic round-robin schedule over the handler events, pumping batches
-/// against a scratch register file for `budget_s` seconds.
-[[nodiscard]] double measure_batch_pps(const ir::ProgramIR& ir,
-                                       const Module& mod,
-                                       const BatchCall& call,
-                                       double budget_s);
-
-/// measure_batch_pps on the module's raw (uninstrumented) batch loop. Used
-/// by bench_native and bench_e2e's kernel layer.
+/// Micro-measures the throughput (packets/sec) of `mod`'s batch loop
+/// (Module::run_batch_raw) on a synthetic round-robin schedule over the
+/// program's handler events, pumping batches against a scratch register
+/// file for `budget_s` seconds. Used by bench_native and bench_e2e's kernel
+/// layer.
 [[nodiscard]] double measure_raw_batch_pps(const ir::ProgramIR& ir,
                                            const Module& mod,
                                            double budget_s = 0.005);
@@ -97,7 +85,7 @@ struct ReplicaConfig {
 /// module as executor. Injections must be scheduled up front (in the same
 /// order the reference run registers them), then run_until drives the event
 /// loop, draining every runnable same-timestamp pipeline pass into one
-/// run_batch call (see Replica::drain_passes).
+/// run_batch_raw call (see Replica::drain_passes).
 ///
 /// Seq-order contract (why state matches the real simulator byte-for-byte):
 /// the simulator breaks timestamp ties by insertion order. The replica
@@ -235,7 +223,7 @@ class Replica {
   /// storage — a pending_ index or a pool_ slot.
   void pass_push(sim::Time t, std::int32_t idx, bool from_pool);
   void drain_passes();       // fused drain + classify; see run_until
-  void flush_exec_batch();   // run batch_in_ through run_batch + dispatch
+  void flush_exec_batch();   // run batch_in_ through run_batch_raw + dispatch
   void compact_pending();
   // NOTE: `p` must not alias a pool_ slot — alloc_slot may grow the slab.
   void recirculate(const RPacket& p);

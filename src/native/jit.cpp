@@ -2,7 +2,6 @@
 
 #include "native/emit.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 #include <dlfcn.h>
 #include <fcntl.h>
@@ -340,29 +339,6 @@ void Module::run_batch_raw(std::int64_t* const* arrays, const PacketIn* in,
                            out + static_cast<std::size_t>(i) * stride)
             : 0;
   }
-}
-
-void Module::run_batch(std::int64_t* const* arrays, const PacketIn* in,
-                       std::int32_t n, GenOut* out,
-                       std::int32_t* gen_counts) const {
-  run_batch_raw(arrays, in, n, out, gen_counts);
-  // Batch-boundary instrumentation only: two relaxed atomic RMWs and one
-  // histogram observation per *batch*; the per-packet loop above runs
-  // exactly as in the raw path. Instruments resolve once per process.
-  static obs::Counter& packets = obs::Registry::global().counter(
-      "lucid_native_packets_total",
-      "Packets run through instrumented native batch calls");
-  static obs::Counter& batches = obs::Registry::global().counter(
-      "lucid_native_batches_total", "Instrumented native batch calls");
-  static obs::Histogram& sizes = obs::Registry::global().histogram(
-      "lucid_native_batch_size", "Packets per native run_batch call");
-  packets.add(static_cast<std::uint64_t>(n));
-  batches.add();
-  sizes.observe(static_cast<std::uint64_t>(n));
-  // Sampled instant per batch (one relaxed load when tracing is off) — the
-  // hook bench_native drives at 1/256 sampling for its bounded-overhead
-  // gate.
-  obs::Tracer::global().mark("native", "batch", "n", n);
 }
 
 }  // namespace lucid::native

@@ -16,7 +16,7 @@
 // and a unit another load is compiling is waited for, not compiled twice.
 //
 // A Module is a dense event-id -> entry table over the objects its units
-// live in; Module::run_batch loops over a batch on the host side. Modules
+// live in; Module::run_batch_raw loops over a batch on the host side. Modules
 // and the objects under them live for the process: nothing is dlclosed or
 // freed, so a Module address is never reused by a later load (bench_e2e
 // relies on that to tell cold loads from cached ones).
@@ -53,17 +53,10 @@ class Module {
   /// each straight through its handler's entry; packet i's records at
   /// out + i * max(max_gens(), 1) and its generate count in gen_counts[i]
   /// (0 for an event without a handler). The Replica drain calls it, and
-  /// bench_native measures its pps as the baseline for the obs overhead
-  /// gate.
+  /// native::measure_raw_batch_pps times it.
   void run_batch_raw(std::int64_t* const* arrays, const PacketIn* in,
                      std::int32_t n, GenOut* out,
                      std::int32_t* gen_counts) const;
-
-  /// run_batch_raw plus the obs batch metrics (one histogram observation +
-  /// one counter add per *batch*, so the per-packet path stays untouched).
-  void run_batch(std::int64_t* const* arrays, const PacketIn* in,
-                 std::int32_t n, GenOut* out,
-                 std::int32_t* gen_counts) const;
 
   /// Milliseconds in the external compiler for this load's new units (0
   /// when every unit was already compiled).

@@ -78,6 +78,9 @@ struct ResourceModel {
   int alu_ops_per_stage = 14; // ALU instructions (PHV ops) per stage
 
   static ResourceModel tofino() { return ResourceModel{}; }
+
+  friend bool operator==(const ResourceModel&,
+                         const ResourceModel&) = default;
 };
 
 // ---------------------------------------------------------------------------

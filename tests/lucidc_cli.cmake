@@ -55,3 +55,50 @@ if(NOT cold_err STREQUAL inc_err)
   message(SEND_ERROR "moved-decl fixture: incremental stderr\n${inc_err}\n"
                      "differs from cold stderr\n${cold_err}")
 endif()
+
+# --cache-dir: a cold run stores the artifact; running again, and running on
+# a reformatted copy, are served from the cache (one hit each) with the same
+# text. The copy keeps the file's path, which is the program name and so
+# part of the key. An entry whose text record is corrupt reads as a miss:
+# exit 0 and the same text, never an abort.
+set(cache ${CMAKE_CURRENT_BINARY_DIR}/lucidc_cli_cache)
+file(REMOVE_RECURSE ${cache})
+file(READ ${INPUT} input_text)
+file(WRITE ${cache}/input.lucid "${input_text}")
+function(emit_cached tag)
+  execute_process(COMMAND ${LUCIDC} --emit=p4 --cache-dir=${cache}/store
+                          --metrics-out=${cache}/${tag}.prom
+                          ${cache}/input.lucid
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(SEND_ERROR "--cache-dir fixture (${tag}): exit ${rc}, expected 0")
+  endif()
+  set(${tag}_out "${out}" PARENT_SCOPE)
+endfunction()
+function(expect_cache_hit tag)
+  file(READ ${cache}/${tag}.prom prom)
+  if(NOT prom MATCHES "\nlucid_artifact_cache_hits_total 1\n")
+    message(SEND_ERROR "--cache-dir fixture (${tag}): no cache hit in\n${prom}")
+  endif()
+endfunction()
+emit_cached(cold)
+emit_cached(again)
+expect_cache_hit(again)
+file(WRITE ${cache}/input.lucid
+     "// reformatted\n\n${input_text}\n\n// trailing comment\n")
+emit_cached(reformatted)
+expect_cache_hit(reformatted)
+file(GLOB entries ${cache}/store/*.art)
+list(LENGTH entries n_entries)
+if(NOT n_entries EQUAL 1)
+  message(SEND_ERROR "--cache-dir fixture: ${n_entries} entries, expected 1")
+endif()
+file(READ ${entries} entry)
+string(REGEX REPLACE "\ntext [0-9]+\n" "\ntext -1\n" entry "${entry}")
+file(WRITE ${entries} "${entry}")
+emit_cached(corrupt)
+foreach(tag again reformatted corrupt)
+  if(NOT ${tag}_out STREQUAL cold_out)
+    message(SEND_ERROR "--cache-dir fixture: ${tag} stdout differs from cold")
+  endif()
+endforeach()

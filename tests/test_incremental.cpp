@@ -11,8 +11,8 @@
 //     compile of the edited source for every backend — including the
 //     interpreter's observable runtime state — across all ten paper apps,
 //     while StageRecord::decls_reused proves the reuse actually happened;
-//   * the ArtifactCache serves formatting variants as plain hits (memory
-//     and disk layers);
+//   * the ArtifactCache serves formatting variants as plain hits and
+//     misses decl edits and reorders;
 //   * SweepEngine::fit bisects the smallest fitting resource model.
 #include <gtest/gtest.h>
 
@@ -31,6 +31,7 @@
 #include "frontend/printer.hpp"
 #include "frontend/progen.hpp"
 #include "interp/runtime.hpp"
+#include "obs/metrics.hpp"
 #include "pisa/switch.hpp"
 #include "sema/depgraph.hpp"
 #include "sim/simulator.hpp"
@@ -743,59 +744,52 @@ TEST(Recompile, JsonTimingExposesDeclsReused) {
 // ArtifactCache structural keying (the cache.hpp side-by-side contract)
 // ---------------------------------------------------------------------------
 
-TEST(StructuralCache, FormattingVariantsHitTheMemoryLayer) {
-  ArtifactCache cache;  // keep_stage = Lower
-  const CompilerDriver driver({}, &test_registry());
-  const CompilationPtr first = cache.compile(driver, kChain);
-  ASSERT_TRUE(first->ok());
-  EXPECT_EQ(cache.stats().misses, 1u);
+/// Current value of a lucid_artifact_cache_<what>_total counter.
+std::uint64_t cache_count(const std::string& what) {
+  return obs::Registry::global()
+      .counter("lucid_artifact_cache_" + what + "_total")
+      .value();
+}
 
-  // A reformatted variant is the same program: a hit sharing the master's
-  // front end by address.
-  bool hit = false;
-  const CompilationPtr second =
-      cache.compile(driver, ws_variant(kChain), &hit);
-  ASSERT_TRUE(second->ok());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(&first->ast(), &second->ast());
-  EXPECT_EQ(&first->ir(), &second->ir());
-
-  // Same bytes again: also a hit, same entry.
-  const CompilationPtr third = cache.compile(driver, kChain, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(cache.size(), 1u);
-  (void)third;
+std::string fresh_cache_dir(const std::string& name) {
+  const std::string dir =
+      ::testing::TempDir() + "/lucid-" + name + "-" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 TEST(StructuralCache, DeclEditAndDeclReorderAreMisses) {
   // The regression pinning the key's contract: whitespace/comment
-  // INsensitive (above), decl-content and decl-order SENSITIVE (here).
-  ArtifactCache cache;
+  // INsensitive (below), decl-content and decl-order SENSITIVE (here).
+  const std::string dir = fresh_cache_dir("decl-edit-cache");
+  const ArtifactCache cache(dir);
   const CompilerDriver driver({}, &test_registry());
-  (void)cache.compile(driver, kChain);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  (void)cache.compile(driver, edit_first_handler(kChain));
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.size(), 2u);
+  const CompilationPtr base = driver.run(kChain, Stage::Layout);
+  ASSERT_TRUE(base->ok());
+  const BackendArtifact emitted = driver.emit(base, "p4");
+  ASSERT_TRUE(emitted.ok);
+  cache.store_artifact(*base, emitted);
 
   const std::string swapped =
       "const int MASK = 15;\n"
       "const int LIMIT = 10;\n" +
       std::string(kChain).substr(std::string(kChain).find("global a"));
-  (void)cache.compile(driver, swapped);
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.stats().hits, 0u);
+  const std::uint64_t hits = cache_count("hits");
+  const std::uint64_t misses = cache_count("misses");
+  for (const std::string& variant : {edit_first_handler(kChain), swapped}) {
+    const CompilationPtr comp = driver.run(variant, Stage::Parse);
+    ASSERT_TRUE(comp->ok());
+    EXPECT_NE(comp->structural_hash(), base->structural_hash());
+    EXPECT_FALSE(cache.load_artifact(*comp, "p4").has_value());
+  }
+  EXPECT_EQ(cache_count("misses"), misses + 2);
+  EXPECT_EQ(cache_count("hits"), hits);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StructuralCache, DiskLayerServesFormattingVariants) {
-  const std::string dir =
-      ::testing::TempDir() + "/lucid-structural-cache-" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  std::filesystem::remove_all(dir);
+  const std::string dir = fresh_cache_dir("structural-cache");
 
   const apps::AppSpec& spec = apps::app("SFW");
   const CompilerDriver driver(app_options(spec), &test_registry());
@@ -804,19 +798,21 @@ TEST(StructuralCache, DiskLayerServesFormattingVariants) {
   const BackendArtifact emitted = driver.emit(comp, "p4");
   ASSERT_TRUE(emitted.ok);
 
-  ArtifactCache cache(Stage::Lower, dir);
-  cache.store_artifact(spec.source, comp->options(), emitted);
-  EXPECT_EQ(cache.stats().disk_writes, 1u);
+  const ArtifactCache cache(dir);
+  const std::uint64_t writes = cache_count("writes");
+  cache.store_artifact(*comp, emitted);
+  EXPECT_EQ(cache_count("writes"), writes + 1);
 
   // Loading under a reformatted source finds the same entry (structural
   // key), byte-identically.
-  const std::string variant = ws_variant(spec.source);
-  const auto loaded = cache.load_artifact(variant, comp->options(), "p4");
+  const CompilationPtr variant =
+      driver.run(ws_variant(spec.source), Stage::Parse);
+  const auto loaded = cache.load_artifact(*variant, "p4");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->text, emitted.text);
 
   // Storing the variant maps to the same file: still one disk entry.
-  cache.store_artifact(variant, comp->options(), emitted);
+  cache.store_artifact(*variant, emitted);
   std::size_t entries = 0;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
     (void)e;
@@ -825,10 +821,12 @@ TEST(StructuralCache, DiskLayerServesFormattingVariants) {
   EXPECT_EQ(entries, 1u);
 
   // An edited program is a different key: a miss.
-  EXPECT_FALSE(cache
-                   .load_artifact(edit_first_handler(spec.source),
-                                  comp->options(), "p4")
-                   .has_value());
+  EXPECT_FALSE(
+      cache
+          .load_artifact(
+              *driver.run(edit_first_handler(spec.source), Stage::Parse),
+              "p4")
+          .has_value());
   std::filesystem::remove_all(dir);
 }
 
@@ -868,7 +866,6 @@ TEST(Fit, BisectionMatchesALinearScan) {
   ASSERT_TRUE(report.ok) << report.str();
   ASSERT_EQ(report.rows.size(), 1u);
   EXPECT_TRUE(report.all_fit);
-  EXPECT_EQ(report.frontend_runs, 1);
 
   // Ground truth by exhaustive scan.
   int smallest = -1;

@@ -5,7 +5,7 @@
 // interpreter — every cell of every array, every per-event execution and
 // generate count, every scheduler counter. These tests pin that contract on
 // all ten paper applications and a slice of generated programs with
-// randomized traffic, pin run_batch against one-packet batches on every
+// randomized traffic, pin run_batch_raw against one-packet batches on every
 // app, pin an injection registered in the past against the interpreter, and
 // pin the control-plane adapter (ctrl::FleetDataPlane) on a one-shard
 // fleet. The JIT tests pin the shell-free compile, its registry metrics, an
@@ -157,7 +157,7 @@ std::string app_param_name(const ::testing::TestParamInfo<int>& info) {
 }
 
 // ---------------------------------------------------------------------------
-// run_batch == sequential one-packet calls
+// run_batch_raw == sequential one-packet calls
 // ---------------------------------------------------------------------------
 
 class NativeBatchApps : public PerApp {};
@@ -180,7 +180,7 @@ TEST_P(NativeBatchApps, BatchMatchesSequentialRunOne) {
   for (auto& c : batch_cells) batch_ptrs.push_back(c.data());
 
   // 1000 packets round-robin over every handled event with varied args:
-  // one run_batch call against 1000 one-packet run_batch_raw calls.
+  // one 1000-packet run_batch_raw call against 1000 one-packet calls.
   std::vector<const ir::EventInfo*> handled;
   for (const auto& cand : ir.events) {
     if (cand.has_handler) handled.push_back(&cand);
@@ -216,9 +216,9 @@ TEST_P(NativeBatchApps, BatchMatchesSequentialRunOne) {
   std::vector<GenOut> batch_out(packets.size() *
                                 static_cast<std::size_t>(gens));
   std::vector<std::int32_t> batch_counts(packets.size(), -1);
-  prog->module().run_batch(batch_ptrs.data(), packets.data(),
-                           static_cast<std::int32_t>(packets.size()),
-                           batch_out.data(), batch_counts.data());
+  prog->module().run_batch_raw(batch_ptrs.data(), packets.data(),
+                               static_cast<std::int32_t>(packets.size()),
+                               batch_out.data(), batch_counts.data());
 
   EXPECT_EQ(one_cells, batch_cells);
   for (std::size_t i = 0; i < packets.size(); ++i) {

@@ -1,7 +1,7 @@
 // Sweep-engine, artifact-cache, and differential-equivalence tests.
 //
-// The load-bearing guarantee: a compilation that reuses cached/cloned
-// front-end artifacts is *observably identical* to a cold compile — same
+// The load-bearing guarantee: a compilation that reuses cloned front-end
+// artifacts is *observably identical* to a cold compile — same
 // backend artifact bytes, same metrics, same diagnostics, and the same
 // interpreter behavior — while the sweep engine pays for Parse/Sema/Lower
 // exactly once across any number of resource-model variants.
@@ -24,6 +24,7 @@
 #include "core/cache.hpp"
 #include "core/sweep.hpp"
 #include "interp/runtime.hpp"
+#include "obs/metrics.hpp"
 #include "pisa/switch.hpp"
 #include "sim/simulator.hpp"
 #include "support/parallel.hpp"
@@ -101,7 +102,7 @@ TEST(SweepGrid, MalformedSpecsAreRejectedWithAMessage) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential equivalence: cached/cloned == cold, for every paper app
+// Differential equivalence: cloned == cold, for every paper app
 // ---------------------------------------------------------------------------
 
 TEST(Differential, ClonedCompileProducesByteIdenticalArtifacts) {
@@ -112,11 +113,8 @@ TEST(Differential, ClonedCompileProducesByteIdenticalArtifacts) {
     const CompilationPtr cold = driver.run(spec.source, Stage::Layout);
     ASSERT_TRUE(cold->ok()) << cold->diags().render();
 
-    ArtifactCache cache;  // keep_stage = Lower
-    const CompilationPtr warmup = cache.compile(driver, spec.source);
-    ASSERT_TRUE(warmup->ok());
-    const CompilationPtr cached = cache.compile(driver, spec.source);
-    ASSERT_TRUE(cached->ok());
+    const CompilationPtr cached = cold->clone_from_stage(Stage::Lower);
+    ASSERT_NE(cached, nullptr);
     ASSERT_TRUE(cached->is_clone());
     EXPECT_TRUE(cached->record(Stage::Parse).shared);
     EXPECT_FALSE(cached->record(Stage::Layout).ran);
@@ -257,7 +255,7 @@ TEST(Differential, InterpResultsMatchBetweenColdAndClonedCompiles) {
 }
 
 // ---------------------------------------------------------------------------
-// ArtifactCache behavior
+// ArtifactCache (the on-disk store) behavior
 // ---------------------------------------------------------------------------
 
 constexpr const char* kCounter =
@@ -266,108 +264,68 @@ constexpr const char* kCounter =
     "event bump(int i);\n"
     "handle bump(int i) { Array.set(cnt, i & 15, plus, 1); }\n";
 
-TEST(ArtifactCache, HitsShareTheFrontEndByAddress) {
-  ArtifactCache cache;
-  const CompilerDriver driver({}, &test_registry());
-  const CompilationPtr first = cache.compile(driver, kCounter);
-  const CompilationPtr second = cache.compile(driver, kCounter);
-  ASSERT_TRUE(first->ok());
-  ASSERT_TRUE(second->ok());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // Both are clones of one master: the same AST and IR objects, not copies.
-  ASSERT_TRUE(first->is_clone());
-  ASSERT_TRUE(second->is_clone());
-  EXPECT_EQ(&first->ast(), &second->ast());
-  EXPECT_EQ(&first->ir(), &second->ir());
-  EXPECT_NE(first.get(), second.get());
+/// Per-test scratch directory for the disk cache, removed first.
+std::string fresh_cache_dir(const std::string& name) {
+  const std::string dir =
+      ::testing::TempDir() + "/lucid-" + name + "-" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
-TEST(ArtifactCache, SourceChangeMissesOptionsChangeInvalidates) {
-  // keep_stage = Layout makes the resource model part of the fingerprint.
-  ArtifactCache cache(Stage::Layout);
-  const CompilerDriver tofino({}, &test_registry());
-  (void)cache.compile(tofino, kCounter);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // Different bytes, same structure: a comment-only edit is a *hit* now
-  // that the key is structural (PR 5); the entry count stays 1.
-  bool hit = false;
-  (void)cache.compile(tofino, std::string(kCounter) + "// edited\n", &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // A structurally different program: a plain miss, new entry.
-  (void)cache.compile(tofino,
-                      std::string(kCounter) + "event extra(int x);\n");
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().invalidations, 0u);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Same source, different model: the Layout-deep entry is stale.
-  DriverOptions small;
-  small.model.max_stages = 4;
-  const CompilerDriver shrunk(small, &test_registry());
-  const CompilationPtr recompiled = cache.compile(shrunk, kCounter);
-  ASSERT_TRUE(recompiled->ok());
-  EXPECT_EQ(recompiled->options().model.max_stages, 4);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  EXPECT_EQ(cache.stats().misses, 3u);
+/// Current value of a lucid_artifact_cache_<what>_total counter.
+std::uint64_t cache_count(const std::string& what) {
+  return obs::Registry::global()
+      .counter("lucid_artifact_cache_" + what + "_total")
+      .value();
 }
 
-TEST(ArtifactCache, LowerDeepEntriesShareTheAnalysisAcrossModelChanges) {
-  // The Lower-deep options fingerprint covers only model-dependent inputs of
-  // that depth — i.e. nothing — so switching resource models must neither
-  // invalidate the entry nor fork the model-independent LayoutAnalysis.
-  const apps::AppSpec& spec = apps::app("SFW");
-  ArtifactCache cache;  // keep_stage = Lower
-  const CompilerDriver tofino(app_options(spec), &test_registry());
-  DriverOptions shrunk_opts = app_options(spec);
-  shrunk_opts.model.max_stages = 4;
-  shrunk_opts.model.salus_per_stage = 2;
-  const CompilerDriver shrunk(shrunk_opts, &test_registry());
+/// The one entry file in `dir`.
+std::filesystem::path only_entry(const std::string& dir) {
+  std::vector<std::filesystem::path> entries;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(e.path());
+  }
+  EXPECT_EQ(entries.size(), 1u);
+  return entries.empty() ? std::filesystem::path{} : entries.front();
+}
 
-  const CompilationPtr a = cache.compile(tofino, spec.source);
-  const CompilationPtr b = cache.compile(shrunk, spec.source);
-  ASSERT_TRUE(tofino.run_until(a, Stage::Layout));
-  ASSERT_TRUE(shrunk.run_until(b, Stage::Layout));
-  EXPECT_EQ(cache.stats().invalidations, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // One analysis across both models, owned by the cached master. `a` ran
-  // Layout first and so paid for the computation (analysis_shared false);
-  // `b` inherited it ready-made.
-  EXPECT_EQ(&a->layout_analysis(), &b->layout_analysis());
-  EXPECT_EQ(a->analysis_home(), b->analysis_home());
-  EXPECT_NE(a->analysis_home(), a.get());
-  EXPECT_FALSE(a->record(Stage::Layout).analysis_shared);
-  EXPECT_TRUE(b->record(Stage::Layout).analysis_shared);
-  // Phase B still ran per model — the shrunk model cannot fit SFW's twelve
-  // stages, the stock one can — so sharing Phase A leaks no Phase B state.
-  EXPECT_TRUE(a->pipeline().fits);
-  EXPECT_FALSE(b->pipeline().fits);
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void write_file(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 }
 
 TEST(ArtifactCache, FailingSourcesAreNeverCached) {
-  ArtifactCache cache;
+  // A failed artifact is never stored, and a source that does not parse has
+  // no key to load by.
+  const std::string dir = fresh_cache_dir("failing");
+  const ArtifactCache cache(dir);
   const CompilerDriver driver({}, &test_registry());
-  const char* bad = "event e();\nhandle e() { y = 1; }\n";
-  const CompilationPtr first = cache.compile(driver, bad);
-  EXPECT_FALSE(first->ok());
-  EXPECT_FALSE(first->is_clone());
-  const CompilationPtr second = cache.compile(driver, bad);
-  EXPECT_FALSE(second->ok());
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.size(), 0u);
-  // Diagnostics are reproduced identically on every retry.
-  EXPECT_EQ(diag_transcript(*first), diag_transcript(*second));
+  const CompilationPtr bad = driver.run("event e();\nhandle e() { y = 1; }\n");
+  ASSERT_FALSE(bad->ok());
+  const BackendArtifact failed = driver.emit(bad, "p4");
+  ASSERT_FALSE(failed.ok);
+  const std::uint64_t writes = cache_count("writes");
+  cache.store_artifact(*bad, failed);
+  EXPECT_EQ(cache_count("writes"), writes);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  EXPECT_FALSE(cache.load_artifact(*bad, "p4").has_value());
+
+  const CompilationPtr unparsable = driver.run("event (", Stage::Parse);
+  ASSERT_FALSE(unparsable->succeeded(Stage::Parse));
+  const std::uint64_t misses = cache_count("misses");
+  EXPECT_FALSE(cache.load_artifact(*unparsable, "p4").has_value());
+  EXPECT_EQ(cache_count("misses"), misses + 1);
 }
 
 TEST(ArtifactCache, DiskLayerRoundTripsArtifactsByteForByte) {
-  const std::string dir =
-      ::testing::TempDir() + "/lucid-cache-" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  std::filesystem::remove_all(dir);
+  const std::string dir = fresh_cache_dir("cache");
 
   const apps::AppSpec& spec = apps::app("SFW");
   const CompilerDriver driver(app_options(spec), &test_registry());
@@ -376,56 +334,89 @@ TEST(ArtifactCache, DiskLayerRoundTripsArtifactsByteForByte) {
   const BackendArtifact emitted = driver.emit(comp, "p4");
   ASSERT_TRUE(emitted.ok);
 
-  ArtifactCache cache(Stage::Lower, dir);
-  EXPECT_FALSE(
-      cache.load_artifact(spec.source, comp->options(), "p4").has_value());
-  cache.store_artifact(spec.source, comp->options(), emitted);
-  const auto loaded = cache.load_artifact(spec.source, comp->options(), "p4");
+  const ArtifactCache cache(dir);
+  const std::uint64_t hits = cache_count("hits");
+  const std::uint64_t misses = cache_count("misses");
+  const std::uint64_t writes = cache_count("writes");
+  EXPECT_FALSE(cache.load_artifact(*comp, "p4").has_value());
+  cache.store_artifact(*comp, emitted);
+  const auto loaded = cache.load_artifact(*comp, "p4");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->ok);
   EXPECT_EQ(loaded->text, emitted.text);
   EXPECT_EQ(loaded->metrics, emitted.metrics);
   EXPECT_EQ(loaded->backend, "p4");
 
-  // Different program name (part of the Emit fingerprint) is a different key.
+  // Different program name (part of the options fingerprint) is a
+  // different key.
   DriverOptions renamed = comp->options();
   renamed.program_name = "other";
-  EXPECT_FALSE(cache.load_artifact(spec.source, renamed, "p4").has_value());
-  EXPECT_EQ(cache.stats().disk_hits, 1u);
-  EXPECT_EQ(cache.stats().disk_writes, 1u);
+  const CompilationPtr other =
+      CompilerDriver(renamed, &test_registry()).run(spec.source, Stage::Parse);
+  EXPECT_FALSE(cache.load_artifact(*other, "p4").has_value());
+  EXPECT_EQ(cache_count("hits"), hits + 1);
+  EXPECT_EQ(cache_count("misses"), misses + 2);
+  EXPECT_EQ(cache_count("writes"), writes + 1);
 
   // Entries stamped by a different compiler build must read as misses: the
   // emitters may have changed, and stale output would mask that.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::string contents = ss.str();
-    const std::string stamp = "compiler " + std::string(kLucidVersion);
-    const std::size_t at = contents.find(stamp);
-    ASSERT_NE(at, std::string::npos);
-    contents.replace(at, stamp.size(), "compiler 0.0.0-other");
-    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-    out << contents;
-  }
-  EXPECT_FALSE(
-      cache.load_artifact(spec.source, comp->options(), "p4").has_value());
+  const std::filesystem::path entry = only_entry(dir);
+  std::string contents = read_file(entry);
+  const std::string stamp = "compiler " + std::string(kLucidVersion);
+  const std::size_t at = contents.find(stamp);
+  ASSERT_NE(at, std::string::npos);
+  contents.replace(at, stamp.size(), "compiler 0.0.0-other");
+  write_file(entry, contents);
+  EXPECT_FALSE(cache.load_artifact(*comp, "p4").has_value());
 
   // An entry truncated before its text record (interrupted store) must be a
   // miss, never a successful empty artifact.
-  cache.store_artifact(spec.source, comp->options(), emitted);
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::string line, header;
-    while (std::getline(in, line) && line.rfind("text ", 0) != 0) {
-      header += line + "\n";
-    }
-    in.close();
-    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-    out << header;
+  cache.store_artifact(*comp, emitted);
+  const std::string good = read_file(entry);
+  write_file(entry, good.substr(0, good.find("text ")));
+  EXPECT_FALSE(cache.load_artifact(*comp, "p4").has_value());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ArtifactCache, CorruptTextRecordsAreMissesNotCrashes) {
+  // The text record's size comes from the file. A size that disagrees with
+  // the bytes actually there reads as a miss; it is never used to allocate
+  // (a negative or huge size used to throw length_error / bad_alloc).
+  const std::string dir = fresh_cache_dir("corrupt");
+  const apps::AppSpec& spec = apps::app("NAT");
+  const CompilerDriver driver(app_options(spec), &test_registry());
+  const CompilationPtr comp = driver.run(spec.source, Stage::Layout);
+  ASSERT_TRUE(comp->ok());
+  const BackendArtifact emitted = driver.emit(comp, "p4");
+  ASSERT_TRUE(emitted.ok);
+  const ArtifactCache cache(dir);
+  cache.store_artifact(*comp, emitted);
+  const std::filesystem::path entry = only_entry(dir);
+  const std::string good = read_file(entry);
+  const std::string size_record = "text " + std::to_string(emitted.text.size());
+  const std::size_t at = good.find(size_record + "\n");
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_TRUE(cache.load_artifact(*comp, "p4").has_value());
+
+  for (const char* bad_size : {"-1", "99999999999", "0"}) {
+    SCOPED_TRACE(bad_size);
+    std::string corrupt = good;
+    corrupt.replace(at, size_record.size(), std::string("text ") + bad_size);
+    write_file(entry, corrupt);
+    const std::uint64_t misses = cache_count("misses");
+    EXPECT_FALSE(cache.load_artifact(*comp, "p4").has_value());
+    EXPECT_EQ(cache_count("misses"), misses + 1);
   }
-  EXPECT_FALSE(
-      cache.load_artifact(spec.source, comp->options(), "p4").has_value());
+
+  // Truncated mid-text: the size record is intact, the bytes are not.
+  write_file(entry, good.substr(0, good.size() - emitted.text.size() / 2));
+  EXPECT_FALSE(cache.load_artifact(*comp, "p4").has_value());
+
+  // A later store repairs the entry.
+  cache.store_artifact(*comp, emitted);
+  const auto repaired = cache.load_artifact(*comp, "p4");
+  ASSERT_TRUE(repaired.has_value());
+  EXPECT_EQ(repaired->text, emitted.text);
   std::filesystem::remove_all(dir);
 }
 
@@ -434,10 +425,7 @@ TEST(ArtifactCache, DiskKeysSeparateBackendsAndCompilerVersions) {
   // live under different disk keys — a shared key would let one backend's
   // output shadow the other's — and the key must pin the compiler version so
   // entries from older builds can never be served by filename collision.
-  const std::string dir =
-      ::testing::TempDir() + "/lucid-backend-keys-" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  std::filesystem::remove_all(dir);
+  const std::string dir = fresh_cache_dir("backend-keys");
 
   const apps::AppSpec& spec = apps::app("CM");
   const CompilerDriver driver(app_options(spec), &test_registry());
@@ -449,10 +437,11 @@ TEST(ArtifactCache, DiskKeysSeparateBackendsAndCompilerVersions) {
   ASSERT_TRUE(ebpf_artifact.ok);
   ASSERT_NE(p4_artifact.text, ebpf_artifact.text);
 
-  ArtifactCache cache(Stage::Lower, dir);
-  cache.store_artifact(spec.source, comp->options(), p4_artifact);
-  cache.store_artifact(spec.source, comp->options(), ebpf_artifact);
-  EXPECT_EQ(cache.stats().disk_writes, 2u);
+  const ArtifactCache cache(dir);
+  const std::uint64_t writes = cache_count("writes");
+  cache.store_artifact(*comp, p4_artifact);
+  cache.store_artifact(*comp, ebpf_artifact);
+  EXPECT_EQ(cache_count("writes"), writes + 2);
 
   // Two distinct entries on disk, each naming its backend and the compiler
   // version in the key itself.
@@ -469,10 +458,8 @@ TEST(ArtifactCache, DiskKeysSeparateBackendsAndCompilerVersions) {
   EXPECT_EQ(entries, 2u);
 
   // Each backend loads back exactly its own bytes.
-  const auto p4_loaded = cache.load_artifact(spec.source, comp->options(),
-                                             "p4");
-  const auto ebpf_loaded = cache.load_artifact(spec.source, comp->options(),
-                                               "ebpf");
+  const auto p4_loaded = cache.load_artifact(*comp, "p4");
+  const auto ebpf_loaded = cache.load_artifact(*comp, "ebpf");
   ASSERT_TRUE(p4_loaded.has_value());
   ASSERT_TRUE(ebpf_loaded.has_value());
   EXPECT_EQ(p4_loaded->text, p4_artifact.text);
@@ -502,7 +489,6 @@ TEST(SweepEngine, FourVariantsShareOneFrontEndRun) {
   ASSERT_EQ(report.variants.size(), 4u);
   EXPECT_TRUE(report.ok) << report.str();
   // The acceptance criterion: stage records prove a single front-end run.
-  EXPECT_EQ(report.frontend_runs, 1);
   for (const SweepVariantReport& vr : report.variants) {
     SCOPED_TRACE(vr.variant.label);
     EXPECT_TRUE(vr.ok);
@@ -567,54 +553,13 @@ TEST(SweepEngine, FrontEndFailureShortCircuits) {
   EXPECT_NE(report.str().find("front-end diagnostics"), std::string::npos);
 }
 
-TEST(SweepEngine, WarmCacheNeedsZeroFrontEndRuns) {
-  const apps::AppSpec& spec = apps::app("RR");
-  ArtifactCache cache;
-  SweepOptions opts = four_variant_sweep(spec.key);
-  opts.cache = &cache;
-  const SweepEngine engine(&test_registry());
-
-  const SweepReport first = engine.run(spec.source, opts);
-  ASSERT_TRUE(first.ok) << first.str();
-  EXPECT_EQ(first.frontend_runs, 1);
-
-  const SweepReport second = engine.run(spec.source, opts);
-  ASSERT_TRUE(second.ok) << second.str();
-  // The front end came out of the cache: zero Parse executions this sweep.
-  EXPECT_EQ(second.frontend_runs, 0);
-  for (std::size_t i = 0; i < first.variants.size(); ++i) {
-    for (std::size_t b = 0; b < first.variants[i].emissions.size(); ++b) {
-      EXPECT_EQ(first.variants[i].emissions[b].text,
-                second.variants[i].emissions[b].text);
-    }
-  }
-}
-
-TEST(SweepEngine, SemaDeepCacheStillReachesLayout) {
-  // A cache that only keeps Sema-deep artifacts hands the engine a
-  // compilation that stops there; the engine must finish Lower itself.
-  const apps::AppSpec& spec = apps::app("SRO");
-  ArtifactCache cache(Stage::Sema);
-  SweepOptions opts = four_variant_sweep(spec.key);
-  opts.cache = &cache;
-  const SweepEngine engine(&test_registry());
-  const SweepReport first = engine.run(spec.source, opts);
-  EXPECT_TRUE(first.ok) << first.str();
-  const SweepReport second = engine.run(spec.source, opts);
-  EXPECT_TRUE(second.ok) << second.str();
-  EXPECT_EQ(second.frontend_runs, 0);
-}
-
 TEST(SweepEngine, DiskCacheServesRepeatSweeps) {
-  const std::string dir =
-      ::testing::TempDir() + "/lucid-sweep-cache-" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  std::filesystem::remove_all(dir);
+  const std::string dir = fresh_cache_dir("sweep-cache");
   const apps::AppSpec& spec = apps::app("NAT");
   const SweepEngine engine(&test_registry());
 
   SweepOptions opts = four_variant_sweep(spec.key);
-  ArtifactCache cold_cache(Stage::Lower, dir);
+  const ArtifactCache cold_cache(dir);
   opts.cache = &cold_cache;
   const SweepReport first = engine.run(spec.source, opts);
   ASSERT_TRUE(first.ok) << first.str();
@@ -624,7 +569,7 @@ TEST(SweepEngine, DiskCacheServesRepeatSweeps) {
 
   // A brand-new cache object (fresh process, same directory): emissions come
   // off disk and are byte-identical.
-  ArtifactCache warm_cache(Stage::Lower, dir);
+  const ArtifactCache warm_cache(dir);
   opts.cache = &warm_cache;
   const SweepReport second = engine.run(spec.source, opts);
   ASSERT_TRUE(second.ok) << second.str();
@@ -634,6 +579,19 @@ TEST(SweepEngine, DiskCacheServesRepeatSweeps) {
       EXPECT_EQ(first.variants[i].emissions[b].text,
                 second.variants[i].emissions[b].text);
     }
+  }
+
+  // The sweep keys its entries on a compilation that ran through Lower;
+  // `lucidc --emit --cache-dir` keys on one that ran only Parse. Both must
+  // name the same entry, so the two share a directory.
+  for (std::size_t i = 0; i < opts.variants.size(); ++i) {
+    DriverOptions dopts = app_options(spec);
+    dopts.model = opts.variants[i].model;
+    const CompilationPtr parsed =
+        CompilerDriver(dopts, &test_registry()).run(spec.source, Stage::Parse);
+    const auto loaded = warm_cache.load_artifact(*parsed, "p4");
+    ASSERT_TRUE(loaded.has_value()) << opts.variants[i].label;
+    EXPECT_EQ(loaded->text, first.variants[i].emissions[0].text);
   }
   std::filesystem::remove_all(dir);
 }
@@ -667,12 +625,53 @@ TEST(SweepConcurrency, WidePipelineSweepsOnConcurrentThreads) {
   for (std::size_t k = 0; k < keys.size(); ++k) {
     SCOPED_TRACE(keys[k]);
     const SweepReport& report = reports[k];
-    EXPECT_EQ(report.frontend_runs, 1);
     ASSERT_EQ(report.variants.size(), 16u);
     for (const auto& vr : report.variants) {
       EXPECT_TRUE(vr.ok) << vr.variant.label << "\n" << report.str();
     }
   }
+}
+
+TEST(SweepConcurrency, TwoSweepsFillOneFreshCacheDirectory) {
+  // Two threads sweep the same program into one empty cache directory at
+  // once, so loads race stores of the same entries (write-to-temp + rename
+  // must never expose a partial entry). TSan (preset debug-tsan) runs this
+  // via the concurrency label. Every emission, served or stored, must equal
+  // a cold compile's.
+  const std::string dir = fresh_cache_dir("concurrent-sweeps");
+  const apps::AppSpec& spec = apps::app("NAT");
+  const SweepOptions base_opts = four_variant_sweep(spec.key);
+  const SweepEngine engine(&test_registry());
+  std::vector<SweepReport> reports(2);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < reports.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const ArtifactCache cache(dir);
+      SweepOptions opts = base_opts;
+      opts.cache = &cache;
+      reports[t] = engine.run(spec.source, opts);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (std::size_t i = 0; i < base_opts.variants.size(); ++i) {
+    SCOPED_TRACE(base_opts.variants[i].label);
+    DriverOptions dopts = app_options(spec);
+    dopts.model = base_opts.variants[i].model;
+    const CompilerDriver driver(dopts, &test_registry());
+    const CompilationPtr cold = driver.run(spec.source, Stage::Layout);
+    ASSERT_TRUE(cold->ok());
+    for (const SweepReport& report : reports) {
+      ASSERT_TRUE(report.ok) << report.str();
+      for (const SweepEmission& e : report.variants[i].emissions) {
+        const BackendArtifact want = driver.emit(cold, e.backend);
+        ASSERT_TRUE(want.ok);
+        EXPECT_EQ(e.text, want.text) << e.backend;
+        EXPECT_EQ(e.metrics, want.metrics) << e.backend;
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepConcurrency, SharedAnalysisLayoutMatchesColdUnderManyWorkers) {
