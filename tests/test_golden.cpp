@@ -8,6 +8,7 @@
 // and the diff is reviewed like any other code change. See tests/README.md.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,8 @@
 #include "apps/apps.hpp"
 #include "core/backends.hpp"
 #include "core/sweep.hpp"
+#include "frontend/progen.hpp"
+#include "opt/passes.hpp"
 #include "support/strings.hpp"
 
 namespace lucid {
@@ -184,6 +187,104 @@ TEST(Golden, LayoutPipelinesMatchCheckedInGolden) {
         << "if the layout change is intentional, regenerate with "
            "UPDATE_GOLDEN=1 ./test_golden";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Tight-model layouts (tests/golden/layout_tight.txt)
+//
+// The merger's resource checks — full tables, full stages, the ALU-op cap,
+// the rule budget, SALU-full stages that move a pin — fire rarely under the
+// default model. This golden pins one line per (program, variant) over a grid
+// tight in every dimension, for the ten paper apps plus the 512-decl
+// generated program at the default model: a hash of Pipeline::str() and the
+// array pins, the fits/feasible flags, the restart count, and the layout
+// diagnostics (codes in clear, the full transcript hashed). Each program's
+// Phase A runs once; every variant is one Phase B call.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kTightLayoutGrid =
+    "stages=3,12;tables=1,2,8;members=1,2,12;aluops=1,14;rules=4,512;"
+    "salus=1,4";
+
+std::string hash_hex(const std::string& bytes) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(bytes)));
+  return buf;
+}
+
+std::string tight_layout_line(const std::string& program,
+                              const std::string& label,
+                              std::shared_ptr<const opt::LayoutAnalysis> an,
+                              const opt::ResourceModel& model) {
+  DiagnosticEngine diags;
+  const opt::Pipeline p = opt::layout(std::move(an), model, diags);
+  std::string pins;
+  for (const auto& [array, stage] : p.array_stage) {
+    pins += array + "=" + std::to_string(stage) + ";";
+  }
+  std::string codes;
+  std::string transcript;
+  for (const Diagnostic& d : diags.all()) {
+    if (!codes.empty()) codes += ",";
+    codes += d.code;
+    transcript += std::string(severity_name(d.severity)) + "|" + d.code +
+                  "|" + d.message + "\n";
+  }
+  return program + " " + label + " fits=" + (p.fits ? "yes" : "no") +
+         " feasible=" + (p.feasible ? "yes" : "no") +
+         " restarts=" + std::to_string(p.restarts) +
+         " stages=" + std::to_string(p.stage_count()) + " pipeline=" +
+         hash_hex(p.str() + "\n" + pins) +
+         " diags=" + hash_hex(transcript) + " " +
+         (codes.empty() ? "-" : codes) + "\n";
+}
+
+std::shared_ptr<const opt::LayoutAnalysis> analysis_of(
+    const std::string& source) {
+  const CompilerDriver driver;
+  const CompilationPtr comp = driver.run(source, Stage::Lower);
+  EXPECT_TRUE(comp->ok()) << comp->diags().render();
+  return opt::analyze_layout(comp->ir());
+}
+
+std::string tight_layout_transcript() {
+  const auto variants = parse_sweep_grid(kTightLayoutGrid);
+  EXPECT_TRUE(variants.has_value());
+  std::string out;
+  for (const apps::AppSpec& spec : apps::all_apps()) {
+    const auto an = analysis_of(spec.source);
+    for (const SweepVariant& v : *variants) {
+      out += tight_layout_line(spec.key, v.label, an, v.model);
+    }
+  }
+  frontend::ProgenConfig cfg;
+  cfg.handlers = 240;  // the 512-decl program of bench_frontend and edit-p4
+  cfg.stmts_per_handler = 28;
+  out += tight_layout_line("progen512", "tofino",
+                           analysis_of(frontend::generate_program(cfg)),
+                           opt::ResourceModel::tofino());
+  return out;
+}
+
+TEST(Golden, TightModelLayoutsMatchCheckedInGolden) {
+  const std::string actual = tight_layout_transcript();
+  const std::string path =
+      std::string(LUCID_SOURCE_DIR) + "/tests/golden/layout_tight.txt";
+  if (update_requested()) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    return;
+  }
+  bool read_ok = false;
+  const std::string expected = read_file(path, read_ok);
+  ASSERT_TRUE(read_ok) << "missing golden file " << path
+                       << " — regenerate with UPDATE_GOLDEN=1";
+  EXPECT_EQ(expected, actual)
+      << first_difference(expected, actual)
+      << "if the layout change is intentional, regenerate with "
+         "UPDATE_GOLDEN=1 ./test_golden";
 }
 
 TEST(Golden, EmissionIsDeterministic) {
