@@ -680,7 +680,6 @@ Pipeline layout(std::shared_ptr<const LayoutAnalysis> analysis,
     diags.add(d.severity, d.range, d.code, d.message);
   }
 
-  const int handler_count = static_cast<int>(an.guarded.size());
   const int array_count = static_cast<int>(an.array_names.size());
   const std::size_t n = an.items.size();
 
@@ -688,15 +687,18 @@ Pipeline layout(std::shared_ptr<const LayoutAnalysis> analysis,
   // stage incremental counters, and dense-id pin state — no AtomicTable
   // copies, string keys, or map lookups inside the placement loops.
   struct TableState {
-    std::vector<int> members;            // global item ids
-    int array = -1;                      // dense array id
-    long rules_total = 0;                // incremental sum of member rules
-    std::vector<long> rules_by_handler;  // dense handler id -> rules
+    std::vector<int> members;  // global item ids
+    int array = -1;            // dense array id
+    long rules_total = 0;      // incremental sum of member rules
   };
   struct StageState {
     std::vector<TableState> tables;
+    std::vector<int> open;    // tables below members_per_table, table order
     int atomic_ops = 0;       // incremental: members across all tables
     std::vector<int> arrays;  // distinct array ids present (salus count)
+    /// This stage's index while it can still take an item; once closed,
+    /// a later stage index with every stage in between closed too.
+    int next_open = 0;
     [[nodiscard]] bool has_array(int a) const {
       for (const int x : arrays) {
         if (x == a) return true;
@@ -708,154 +710,207 @@ Pipeline layout(std::shared_ptr<const LayoutAnalysis> analysis,
   std::vector<StageState> stages;
   std::vector<int> array_pin = an.array_lb;  // lower bounds seed the pins
   std::vector<int> array_stage(static_cast<std::size_t>(array_count), -1);
+  // Not reset between attempts: an item's dependencies precede it in
+  // `an.order`, so the attempt placing it has always placed them first.
   std::vector<int> placed(n, -1);
 
-  // Greedy placement, restarting when an array must move later than where a
-  // prior placement pinned it.
-  const int max_restarts = array_count * (model.max_stages + 4) + 8;
   const long ops_cap = static_cast<long>(model.alu_ops_per_stage) *
                        std::max(1, model.tables_per_stage);
 
-  for (int attempt = 0; attempt <= max_restarts; ++attempt) {
-    stages.clear();
-    std::fill(array_stage.begin(), array_stage.end(), -1);
-    std::fill(placed.begin(), placed.end(), -1);
-    pipe.feasible = true;
-    bool restart = false;
+  // First stage >= s that is not closed, with path compression. Stages past
+  // the high-water mark are virtually empty, hence open.
+  const auto next_open_stage = [&](int s) {
+    int r = s;
+    while (r < static_cast<int>(stages.size()) &&
+           stages[static_cast<std::size_t>(r)].next_open != r) {
+      r = stages[static_cast<std::size_t>(r)].next_open;
+    }
+    while (s < r) {
+      const int next = stages[static_cast<std::size_t>(s)].next_open;
+      stages[static_cast<std::size_t>(s)].next_open = r;
+      s = next;
+    }
+    return r;
+  };
 
-    for (const int g : an.order) {
-      const LayoutAnalysis::Item& item =
-          an.items[static_cast<std::size_t>(g)];
-      int earliest = 0;
-      for (const int d : an.item_deps[static_cast<std::size_t>(g)]) {
-        earliest = std::max(earliest,
-                            placed[static_cast<std::size_t>(d)] + 1);
+  // Places item `g` in the first stage from its earliest legal one that
+  // fits, returning that stage, or -1 when no stage in the scan window fits
+  // or the item's array must move (then `restart` is set).
+  const auto place = [&](int g, bool& restart) {
+    const LayoutAnalysis::Item& item = an.items[static_cast<std::size_t>(g)];
+    int earliest = 0;
+    for (const int d : an.item_deps[static_cast<std::size_t>(g)]) {
+      earliest = std::max(earliest, placed[static_cast<std::size_t>(d)] + 1);
+    }
+
+    const bool is_mem = item.array >= 0;
+    const int pin =
+        is_mem ? array_stage[static_cast<std::size_t>(item.array)] : -1;
+    if (is_mem) {
+      if (pin >= 0 && earliest > pin) {
+        // The array was already placed earlier than this access needs:
+        // push the pin and restart the placement.
+        array_pin[static_cast<std::size_t>(item.array)] = earliest;
+        restart = true;
+        return -1;
       }
+      earliest = std::max(earliest,
+                          array_pin[static_cast<std::size_t>(item.array)]);
+      if (pin >= 0) earliest = pin;
+    }
 
-      const bool is_mem = item.array >= 0;
-      if (is_mem) {
-        const int pin = array_stage[static_cast<std::size_t>(item.array)];
-        if (pin >= 0 && earliest > pin) {
-          // The array was already placed earlier than this access needs:
-          // push the pin and restart the placement.
-          array_pin[static_cast<std::size_t>(item.array)] = earliest;
+    // Scan stages from `earliest` for a merged table (or a slot for a new
+    // one) that fits. Closed stages — at the ALU-op cap, or with every
+    // table slot taken by a full table — reject every item, so the scan
+    // jumps over them. An access to an already-placed array walks stage by
+    // stage instead: a SALU-full stage moves its pin even when closed.
+    // Stages past the high-water mark are virtually empty and materialized
+    // only on actual placement — a failed scan allocates nothing.
+    const int end = earliest + 4 * model.max_stages;
+    for (int s = pin >= 0 ? earliest : next_open_stage(earliest); s < end;
+         s = pin >= 0 ? s + 1 : next_open_stage(s + 1)) {
+      StageState* stage = s < static_cast<int>(stages.size())
+                              ? &stages[static_cast<std::size_t>(s)]
+                              : nullptr;
+      if ((stage != nullptr ? stage->atomic_ops : 0) + 1 > ops_cap) continue;
+      const bool array_new_here =
+          is_mem && (stage == nullptr || !stage->has_array(item.array));
+      if (array_new_here &&
+          (stage != nullptr ? static_cast<int>(stage->arrays.size()) : 0) >=
+              model.salus_per_stage) {
+        if (pin >= 0) {
+          // Pinned stage is full of other arrays: infeasible pin.
+          array_pin[static_cast<std::size_t>(item.array)] = s + 1;
           restart = true;
+        }
+        continue;
+      }
+      // Try to join an open merged table, first fit in table order. Same-
+      // handler members must be either all unconditional (their ops combine
+      // into one action) or pairwise disjoint (each gets its own rules) —
+      // mirroring the merged tables of Fig 8. Members of different handlers
+      // are always disjoint on the event id. All checks run on dense
+      // analysis indices; the disjointness tests hit the memoized matrix.
+      TableState* target = nullptr;
+      std::size_t open_slot = 0;
+      if (stage != nullptr) {
+        for (; open_slot < stage->open.size(); ++open_slot) {
+          TableState& mt =
+              stage->tables[static_cast<std::size_t>(stage->open[open_slot])];
+          if (is_mem && mt.array >= 0 && mt.array != item.array) continue;
+          bool compatible = true;
+          for (const int m : mt.members) {
+            const LayoutAnalysis::Item& member =
+                an.items[static_cast<std::size_t>(m)];
+            if (member.handler != item.handler) continue;
+            if (member.uncond != item.uncond) {
+              compatible = false;
+              break;
+            }
+            if (!item.uncond && !an.disjoint(m, g)) {
+              compatible = false;
+              break;
+            }
+          }
+          if (!compatible) continue;
+          // Rules add: disjoint same-handler members, disjoint handlers.
+          if (mt.rules_total + item.rules > model.rules_per_table) continue;
+          target = &mt;
           break;
         }
-        earliest = std::max(earliest,
-                            array_pin[static_cast<std::size_t>(item.array)]);
-        if (pin >= 0) earliest = pin;
       }
+      if (target == nullptr) {
+        if ((stage != nullptr ? static_cast<int>(stage->tables.size()) : 0) >=
+            model.tables_per_stage) {
+          continue;
+        }
+        while (static_cast<int>(stages.size()) <= s) {
+          stages.emplace_back();
+          stages.back().next_open = static_cast<int>(stages.size()) - 1;
+        }
+        stage = &stages[static_cast<std::size_t>(s)];
+        open_slot = stage->open.size();
+        stage->open.push_back(static_cast<int>(stage->tables.size()));
+        target = &stage->tables.emplace_back();
+      }
+      target->members.push_back(g);
+      target->rules_total += item.rules;
+      if (static_cast<int>(target->members.size()) >=
+          model.members_per_table) {
+        stage->open.erase(stage->open.begin() +
+                          static_cast<std::ptrdiff_t>(open_slot));
+      }
+      stage->atomic_ops += 1;
+      if (stage->atomic_ops + 1 > ops_cap ||
+          (stage->open.empty() &&
+           static_cast<int>(stage->tables.size()) >= model.tables_per_stage)) {
+        stage->next_open = s + 1;
+      }
+      if (is_mem) {
+        target->array = item.array;
+        if (array_new_here) stage->arrays.push_back(item.array);
+        array_stage[static_cast<std::size_t>(item.array)] = s;
+        if (s > array_pin[static_cast<std::size_t>(item.array)]) {
+          array_pin[static_cast<std::size_t>(item.array)] = s;
+        }
+      }
+      return s;
+    }
+    return -1;
+  };
 
-      // Scan stages from `earliest` for a merged table (or a slot for a new
-      // one) that fits. Stages past the high-water mark are virtually empty
-      // and materialized only on actual placement — a failed scan allocates
-      // nothing.
-      int chosen = -1;
-      for (int s = earliest; s < earliest + 4 * model.max_stages; ++s) {
-        StageState* stage =
-            s < static_cast<int>(stages.size())
-                ? &stages[static_cast<std::size_t>(s)]
-                : nullptr;
-        if ((stage != nullptr ? stage->atomic_ops : 0) + 1 > ops_cap) {
-          continue;
-        }
-        const bool array_new_here =
-            is_mem && (stage == nullptr || !stage->has_array(item.array));
-        if (is_mem && array_new_here &&
-            (stage != nullptr ? static_cast<int>(stage->arrays.size()) : 0) >=
-                model.salus_per_stage) {
-          if (array_stage[static_cast<std::size_t>(item.array)] >= 0) {
-            // Pinned stage is full of other arrays: infeasible pin.
-            array_pin[static_cast<std::size_t>(item.array)] = s + 1;
-            restart = true;
-          }
-          continue;
-        }
-        // Try to join an existing merged table. Same-handler members must be
-        // either all unconditional (their ops combine into one action) or
-        // pairwise disjoint (each gets its own rules) — mirroring the merged
-        // tables of Fig 8. Members of different handlers are always disjoint
-        // on the event id. All checks run on dense analysis indices; the
-        // disjointness tests hit the memoized matrix.
-        TableState* target = nullptr;
-        if (stage != nullptr) {
-          for (auto& mt : stage->tables) {
-            if (static_cast<int>(mt.members.size()) >=
-                model.members_per_table) {
-              continue;
-            }
-            if (is_mem && mt.array >= 0 && mt.array != item.array) continue;
-            bool compatible = true;
-            for (const int m : mt.members) {
-              const LayoutAnalysis::Item& member =
-                  an.items[static_cast<std::size_t>(m)];
-              if (member.handler != item.handler) continue;
-              if (member.uncond != item.uncond) {
-                compatible = false;
-                break;
-              }
-              if (!item.uncond && !an.disjoint(m, g)) {
-                compatible = false;
-                break;
-              }
-            }
-            if (!compatible) continue;
-            // Rules add: disjoint same-handler members, disjoint handlers.
-            if (mt.rules_total + item.rules > model.rules_per_table) continue;
-            target = &mt;
-            break;
-          }
-        }
-        if (target == nullptr) {
-          if ((stage != nullptr ? static_cast<int>(stage->tables.size())
-                                : 0) >= model.tables_per_stage) {
-            continue;
-          }
-          if (stage == nullptr) {
-            while (static_cast<int>(stages.size()) <= s) {
-              stages.emplace_back();
-            }
-            stage = &stages[static_cast<std::size_t>(s)];
-          }
-          stage->tables.emplace_back();
-          target = &stage->tables.back();
-          target->rules_by_handler.assign(
-              static_cast<std::size_t>(handler_count), 0);
-        }
-        target->members.push_back(g);
-        target->rules_total += item.rules;
-        target->rules_by_handler[static_cast<std::size_t>(item.handler)] +=
-            item.rules;
-        stage->atomic_ops += 1;
-        if (is_mem) {
-          target->array = item.array;
-          if (array_new_here) stage->arrays.push_back(item.array);
-          array_stage[static_cast<std::size_t>(item.array)] = s;
-          if (s > array_pin[static_cast<std::size_t>(item.array)]) {
-            array_pin[static_cast<std::size_t>(item.array)] = s;
-          }
-        }
-        chosen = s;
-        break;
-      }
-      if (restart) break;
+  // Places order[from, to); false (after reporting why) if an item does not
+  // fit anywhere or an array pin moved (`restart`).
+  const auto place_span = [&](std::size_t from, std::size_t to,
+                              bool& restart) {
+    for (std::size_t k = from; k < to; ++k) {
+      const int g = an.order[k];
+      const int chosen = place(g, restart);
+      if (restart) return false;
       if (chosen < 0) {
+        const LayoutAnalysis::Item& item =
+            an.items[static_cast<std::size_t>(g)];
         pipe.feasible = false;
         diags.warning({}, "opt-layout-infeasible",
                       "could not place table '" + item.table->str() +
                           "' of handler '" + item.table->handler + "'");
-        break;
+        return false;
       }
       placed[static_cast<std::size_t>(g)] = chosen;
     }
+    return true;
+  };
 
-    if (!restart) break;
-    ++pipe.restarts;
-    if (attempt == max_restarts) {
-      pipe.feasible = false;
-      diags.warning({}, "opt-layout-restarts",
-                    "layout did not converge; resource model too tight");
+  // The items before the first array access touch no pin, so they land in
+  // the same place on every attempt: place them once and restart each
+  // attempt from a snapshot of that state.
+  const std::size_t prefix = static_cast<std::size_t>(
+      std::find_if(an.order.begin(), an.order.end(),
+                   [&](int g) {
+                     return an.items[static_cast<std::size_t>(g)].array >= 0;
+                   }) -
+      an.order.begin());
+  bool restart = false;
+  if (place_span(0, prefix, restart)) {
+    const std::vector<StageState> snapshot = stages;
+    // Greedy placement, restarting when an array must move later than where
+    // a prior placement pinned it.
+    const int max_restarts = array_count * (model.max_stages + 4) + 8;
+    for (int attempt = 0; attempt <= max_restarts; ++attempt) {
+      if (attempt > 0) {
+        stages = snapshot;
+        std::fill(array_stage.begin(), array_stage.end(), -1);
+        pipe.feasible = true;
+        restart = false;
+      }
+      place_span(prefix, an.order.size(), restart);
+      if (!restart) break;
+      ++pipe.restarts;
+      if (attempt == max_restarts) {
+        pipe.feasible = false;
+        diags.warning({}, "opt-layout-restarts",
+                      "layout did not converge; resource model too tight");
+      }
     }
   }
 
@@ -874,17 +929,13 @@ Pipeline layout(std::shared_ptr<const LayoutAnalysis> analysis,
       MergedTable mt;
       mt.members.reserve(ts.members.size());
       for (const int m : ts.members) {
-        mt.members.push_back(an.items[static_cast<std::size_t>(m)].table);
+        const LayoutAnalysis::Item& item = an.items[static_cast<std::size_t>(m)];
+        mt.members.push_back(item.table);
+        mt.rules_per_handler[an.handler_names[static_cast<std::size_t>(
+            item.handler)]] += item.rules;
       }
       if (ts.array >= 0) {
         mt.array = an.array_names[static_cast<std::size_t>(ts.array)];
-      }
-      for (int h = 0; h < handler_count; ++h) {
-        const long r = ts.rules_by_handler[static_cast<std::size_t>(h)];
-        if (r != 0) {
-          mt.rules_per_handler[an.handler_names[static_cast<std::size_t>(h)]] =
-              r;
-        }
       }
       pipe.stages[s].tables.push_back(std::move(mt));
     }
