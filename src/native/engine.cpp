@@ -386,8 +386,9 @@ void Replica::run_until(sim::Time t) {
   now_ = std::max(now_, t);
   compact_pending();
   // Batch-boundary metrics publish: the event loop above runs branch-free
-  // with respect to observability; executions accumulate in plain counters
-  // and the delta lands in the process-wide registry once per run_until.
+  // with respect to observability; executions and drain sizes accumulate
+  // in plain counters and land in the process-wide registry once per
+  // run_until.
   static obs::Counter& executed = obs::Registry::global().counter(
       "lucid_native_replica_executions_total",
       "Handler executions across native replica runs");
@@ -396,6 +397,8 @@ void Replica::run_until(sim::Time t) {
   if (shard_packets_ != nullptr) {
     shard_packets_->add(stats_.executed - published_shard_executed_);
     published_shard_executed_ = stats_.executed;
+    shard_batch_size_->merge(batch_sizes_);
+    batch_sizes_ = {};
     shard_queue_depth_->set(static_cast<std::int64_t>(
         heap_.size() + (pending_.size() - pending_head_) +
         (pass_q_.size() - pass_head_)));
@@ -504,9 +507,7 @@ void Replica::drain_passes() {
     pass_q_.clear();
     pass_head_ = 0;
   }
-  if (shard_batch_size_ != nullptr) {
-    shard_batch_size_->observe(static_cast<double>(drained));
-  }
+  if (shard_batch_size_ != nullptr) batch_sizes_.observe(drained);
 }
 
 void Replica::flush_exec_batch() {

@@ -277,6 +277,8 @@ class Replica {
   obs::Histogram* shard_batch_size_ = nullptr;
   obs::Gauge* shard_queue_depth_ = nullptr;
   std::uint64_t published_shard_executed_ = 0;
+  /// Passes per drain since the last run_until publish (shards only).
+  obs::LocalHistogram batch_sizes_;
 };
 
 }  // namespace lucid::native

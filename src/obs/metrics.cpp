@@ -39,6 +39,21 @@ double Histogram::quantile(double q) const {
   return static_cast<double>(max());
 }
 
+void Histogram::merge(const LocalHistogram& local) {
+  if (local.count == 0) return;
+  for (int k = 0; k < kBuckets; ++k) {
+    const std::uint64_t c = local.buckets[k];
+    if (c != 0) {
+      buckets_[static_cast<std::size_t>(k)].fetch_add(
+          c, std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(local.count, std::memory_order_relaxed);
+  sum_.fetch_add(local.sum, std::memory_order_relaxed);
+  atomic_min(min_, local.min);
+  atomic_max(max_, local.max);
+}
+
 void Histogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);

@@ -65,6 +65,8 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
+struct LocalHistogram;
+
 /// Log2-bucketed histogram over u64 values. 65 buckets: bucket 0 holds exact
 /// zeros; bucket k (1..64) holds values v with 2^(k-1) <= v < 2^k (i.e.
 /// bit_width(v) == k). Updates are a handful of relaxed atomic RMWs; there
@@ -127,6 +129,10 @@ class Histogram {
   /// count==0 (returns 0) and clamped by the observed min/max.
   [[nodiscard]] double quantile(double q) const;
 
+  /// Adds every observation of `local` in one pass: a handful of relaxed
+  /// RMWs per call instead of per observation.
+  void merge(const LocalHistogram& local);
+
   void reset();
 
  private:
@@ -148,6 +154,25 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
   std::atomic<std::uint64_t> max_{0};
+};
+
+/// Histogram's buckets and totals as plain integers, for one owner: a hot
+/// loop observes into it without atomics and publishes it with
+/// Histogram::merge at a batch boundary.
+struct LocalHistogram {
+  std::uint64_t buckets[Histogram::kBuckets] = {};
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t min = ~std::uint64_t{0};
+  std::uint64_t max = 0;
+
+  void observe(std::uint64_t v) {
+    ++buckets[Histogram::bucket_of(v)];
+    ++count;
+    sum += v;
+    if (v < min) min = v;
+    if (v > max) max = v;
+  }
 };
 
 // ---------------------------------------------------------------------------

@@ -444,6 +444,56 @@ TEST(NativeReplica, PendingFootprintBoundedOverMillionInjections) {
   EXPECT_LT(high_water, static_cast<std::size_t>(4 * kPerCycle));
 }
 
+TEST(NativeReplica, ShardBatchHistogramPublishesAtRunBoundary) {
+  // A shard's drain sizes accumulate locally and reach the labelled
+  // registry histogram once per run_until: one observation per drain, the
+  // observations summing to the passes drained. Three same-timestamp bursts
+  // of a handler that generates nothing drain as three batches.
+  interp::TestbedConfig cfg;
+  cfg.program_name = "batch_hist";
+  interp::Testbed tb(R"(
+global counts = new Array<<32>>(16);
+memop plus(int cur, int x) { return cur + x; }
+event pkt(int i);
+handle pkt(int i) {
+  int slot = i & 15;
+  Array.set(counts, slot, plus, 1);
+}
+)",
+                     cfg);
+  ASSERT_TRUE(tb.ok()) << tb.diagnostics();
+  std::string err;
+  const auto prog = Program::build(tb.compilation_ptr(), &err);
+  ASSERT_NE(prog, nullptr) << err;
+
+  ReplicaConfig rcfg;
+  rcfg.shard_id = 9101;  // a series no other test writes
+  Replica rep(prog, rcfg);
+  const obs::Histogram& hist = obs::Registry::global().histogram(
+      "lucid_native_shard_batch_size", {{"shard", "9101"}});
+  const std::pair<sim::Time, int> bursts[] = {
+      {10 * sim::kUs, 5}, {50 * sim::kUs, 3}, {90 * sim::kUs, 1}};
+  for (const auto& [t, n] : bursts) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(rep.schedule_inject(t, "pkt", {i}));
+    }
+  }
+  EXPECT_EQ(hist.count(), 0u);
+
+  rep.run_until(40 * sim::kUs);
+  EXPECT_EQ(rep.stats().executed, 5u);
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_EQ(hist.sum(), 5u);
+
+  rep.run_until(200 * sim::kUs);
+  EXPECT_EQ(rep.stats().executed, 9u);
+  EXPECT_EQ(hist.count(), 3u);
+  EXPECT_EQ(hist.sum(), rep.stats().executed);
+  EXPECT_EQ(hist.min(), 1u);
+  EXPECT_EQ(hist.max(), 5u);
+  EXPECT_EQ(hist.bucket_count(obs::Histogram::bucket_of(3)), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Sharded fleet: the per-shard differential-state contract
 // ---------------------------------------------------------------------------

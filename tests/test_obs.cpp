@@ -152,6 +152,28 @@ TEST(ObsMetrics, HistogramExactStatsAndQuantiles) {
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
 }
 
+TEST(ObsMetrics, MergingALocalHistogramEqualsObservingDirectly) {
+  Histogram direct;
+  Histogram merged;
+  direct.observe(7);  // both start from the same non-empty state
+  merged.observe(7);
+  obs::LocalHistogram local;
+  merged.merge(local);  // empty: no effect
+  EXPECT_EQ(merged.count(), 1u);
+  for (const std::uint64_t v : {0ULL, 1ULL, 3ULL, 32ULL, 32ULL, 1000ULL}) {
+    direct.observe(v);
+    local.observe(v);
+  }
+  merged.merge(local);
+  EXPECT_EQ(merged.count(), direct.count());
+  EXPECT_EQ(merged.sum(), direct.sum());
+  EXPECT_EQ(merged.min(), direct.min());
+  EXPECT_EQ(merged.max(), direct.max());
+  for (int k = 0; k < Histogram::kBuckets; ++k) {
+    EXPECT_EQ(merged.bucket_count(k), direct.bucket_count(k)) << k;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Registry + exposition formats
 // ---------------------------------------------------------------------------
