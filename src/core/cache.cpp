@@ -77,7 +77,7 @@ std::string ArtifactCache::artifact_path(std::uint64_t source_key,
 }
 
 std::optional<BackendArtifact> ArtifactCache::load_artifact(
-    const Compilation& comp, std::string_view backend) const {
+    const Compilation& comp, std::string_view backend, bool quiet_only) const {
   const auto miss = []() -> std::optional<BackendArtifact> {
     misses_counter().add();
     return std::nullopt;
@@ -90,12 +90,13 @@ std::optional<BackendArtifact> ArtifactCache::load_artifact(
   if (!in) return miss();
 
   std::string line;
-  if (!std::getline(in, line) || line != "lucid-artifact v2") return miss();
+  if (!std::getline(in, line) || line != "lucid-artifact v3") return miss();
 
   BackendArtifact artifact;
   artifact.ok = true;
   std::size_t text_size = 0;
   bool version_ok = false;
+  bool diagnostics_seen = false;
   bool text_seen = false;
   while (std::getline(in, line)) {
     std::istringstream ls(line);
@@ -115,6 +116,10 @@ std::optional<BackendArtifact> ArtifactCache::load_artifact(
       if (!(ls >> echoed) || echoed != hex64(skey)) return miss();
     } else if (tag == "backend") {
       ls >> artifact.backend;
+    } else if (tag == "diagnostics") {
+      std::size_t count = 0;
+      if (!(ls >> count) || (quiet_only && count != 0)) return miss();
+      diagnostics_seen = true;
     } else if (tag == "metric") {
       std::string k;
       std::int64_t v = 0;
@@ -130,7 +135,10 @@ std::optional<BackendArtifact> ArtifactCache::load_artifact(
   }
   // An entry truncated before its text record (interrupted store) must be a
   // miss, not a successful empty artifact.
-  if (!version_ok || !text_seen || artifact.backend != backend) return miss();
+  if (!version_ok || !diagnostics_seen || !text_seen ||
+      artifact.backend != backend) {
+    return miss();
+  }
   // The text is the rest of the file. The claimed size is never trusted to
   // allocate: an entry whose size disagrees with the bytes actually there
   // (truncated mid-text, or a corrupt size record) is a miss.
@@ -159,10 +167,11 @@ void ArtifactCache::store_artifact(const Compilation& comp,
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return;
-    out << "lucid-artifact v2\n";
+    out << "lucid-artifact v3\n";
     out << "compiler " << kLucidVersion << "\n";
     out << "skey " << hex64(skey) << "\n";
     out << "backend " << artifact.backend << "\n";
+    out << "diagnostics " << comp.diags().all().size() << "\n";
     for (const auto& [k, v] : artifact.metrics) {
       out << "metric " << k << " " << v << "\n";
     }

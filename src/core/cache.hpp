@@ -26,6 +26,11 @@
 // emission depends on (the resource model and the program name). It never
 // sees the source; the structural key never sees the options.
 //
+// An entry records how many diagnostics its compilation reported, not their
+// text: the key ignores formatting, so stored positions would be stale for a
+// reformatted source. A caller that prints diagnostics (lucidc --emit) loads
+// quiet entries only and compiles whenever there is something to report.
+//
 // Entries are published by write-to-temp + rename, so readers (other
 // processes included) only ever see complete entries. A corrupt or
 // truncated entry reads as a miss. Hits, misses and writes are counted in
@@ -57,12 +62,15 @@ class ArtifactCache {
 
   /// Loads the artifact emitted for (comp's structural key, comp.options(),
   /// backend), or nullopt when the entry is absent or corrupt, or comp's
-  /// Parse did not succeed.
+  /// Parse did not succeed. With `quiet_only`, an entry whose compilation
+  /// reported diagnostics is a miss too: a hit runs no stage past Parse, so
+  /// a caller that prints the compilation's diagnostics would lose them.
   [[nodiscard]] std::optional<BackendArtifact> load_artifact(
-      const Compilation& comp, std::string_view backend) const;
+      const Compilation& comp, std::string_view backend,
+      bool quiet_only = false) const;
 
-  /// Stores a successful artifact emitted from `comp`; no-op for a failed
-  /// artifact.
+  /// Stores a successful artifact emitted from `comp`, with the number of
+  /// diagnostics `comp` reported; no-op for a failed artifact.
   void store_artifact(const Compilation& comp,
                       const BackendArtifact& artifact) const;
 

@@ -496,14 +496,16 @@ int main(int argc, char** argv) {
     // structural (source, options, backend) combination with this compiler
     // version. The key is the structural hash of this source's parse, so the
     // lookup runs Parse on the compilation a miss then continues; a hit
-    // skips every later stage (the incremental prev compile included), so
-    // it also skips non-fatal diagnostics. --time-passes forces a real
-    // compile. With --incremental-from, a miss recompiles from prev, so the
-    // key parse is the one extra parse.
+    // skips every later stage (the incremental prev compile included). Only
+    // entries whose compilation reported no diagnostics are served, so a
+    // run that warns compiles every time and prints what a cold run prints.
+    // --time-passes forces a real compile. With --incremental-from, a miss
+    // recompiles from prev, so the key parse is the one extra parse.
     const lucid::ArtifactCache cache(cache_dir);
     if (!cache_dir.empty() && !time_passes) {
       comp = driver.run(source, lucid::Stage::Parse);
-      if (auto cached = cache.load_artifact(*comp, backend)) {
+      if (auto cached =
+              cache.load_artifact(*comp, backend, /*quiet_only=*/true)) {
         std::cout << cached->text;
         return kExitOk;
       }

@@ -373,7 +373,8 @@ SweepReport SweepEngine::run(std::string_view source,
       BackendArtifact artifact = edriver.emit(eclone, em.backend);
       if (options.cache != nullptr && artifact.ok) {
         // Store before the fields move into the report (no artifact copy).
-        options.cache->store_artifact(*comp, artifact);
+        // The emitting clone holds the emission's diagnostics too.
+        options.cache->store_artifact(*eclone, artifact);
       }
       em.ok = artifact.ok;
       em.text = std::move(artifact.text);

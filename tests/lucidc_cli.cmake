@@ -102,3 +102,35 @@ foreach(tag again reformatted corrupt)
     message(SEND_ERROR "--cache-dir fixture: ${tag} stdout differs from cold")
   endif()
 endforeach()
+
+# --cache-dir keeps warnings: the eBPF emitter warns on this program (two
+# generate sites in one handler, a recirculation cycle). A run after the
+# first prints the same stderr and exit code, because an entry whose
+# compilation reported diagnostics is never served to --emit.
+file(WRITE ${cache}/warns.lucid "event a(int x);
+event b(int x);
+handle a(int x) {
+  generate b(x);
+  generate b(x + 1);
+}
+handle b(int x) { generate a(x); }
+")
+function(emit_warns tag)
+  execute_process(COMMAND ${LUCIDC} --emit=ebpf --cache-dir=${cache}/store
+                          ${cache}/warns.lucid
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  set(${tag}_rc "${rc}" PARENT_SCOPE)
+  set(${tag}_err "${err}" PARENT_SCOPE)
+endfunction()
+emit_warns(warns_cold)
+emit_warns(warns_again)
+if(NOT warns_cold_err MATCHES "ebpf-multi-generate")
+  message(SEND_ERROR "warning fixture: cold stderr lacks the warning:\n"
+                     "${warns_cold_err}")
+endif()
+if(NOT warns_again_rc EQUAL warns_cold_rc OR
+   NOT warns_again_err STREQUAL warns_cold_err)
+  message(SEND_ERROR "warning fixture: second run (exit ${warns_again_rc}) "
+                     "stderr\n${warns_again_err}\ndiffers from the cold run "
+                     "(exit ${warns_cold_rc})\n${warns_cold_err}")
+endif()

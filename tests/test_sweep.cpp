@@ -596,6 +596,40 @@ TEST(SweepEngine, DiskCacheServesRepeatSweeps) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SweepEngine, DiskEntriesOfWarningCompilesAreServedOnlyToTheSweep) {
+  // Two generate sites in one handler and a recirculation cycle: the eBPF
+  // emitter warns. The sweep stores the entry with its diagnostic count; a
+  // quiet-only load (lucidc --emit prints diagnostics) misses it, so that
+  // caller compiles and warns as a cold run does.
+  const std::string source =
+      "event a(int x);\nevent b(int x);\n"
+      "handle a(int x) {\n  generate b(x);\n  generate b(x + 1);\n}\n"
+      "handle b(int x) { generate a(x); }\n";
+  const std::string dir = fresh_cache_dir("sweep-warnings");
+  const ArtifactCache cache(dir);
+  SweepOptions opts;
+  opts.variants = *parse_sweep_grid("");
+  opts.backends = {"ebpf"};
+  opts.program_name = "warns";
+  opts.cache = &cache;
+  const SweepReport report = SweepEngine(&test_registry()).run(source, opts);
+  ASSERT_TRUE(report.ok) << report.str();
+
+  DriverOptions dopts;
+  dopts.program_name = "warns";
+  const CompilerDriver driver(dopts, &test_registry());
+  const CompilationPtr parsed = driver.run(source, Stage::Parse);
+  const auto any = cache.load_artifact(*parsed, "ebpf");
+  ASSERT_TRUE(any.has_value());
+  EXPECT_EQ(any->text, report.variants[0].emissions[0].text);
+  EXPECT_FALSE(cache.load_artifact(*parsed, "ebpf", /*quiet_only=*/true));
+
+  const CompilationPtr cold = driver.start(source);
+  ASSERT_TRUE(driver.emit(cold, "ebpf").ok);
+  EXPECT_FALSE(cold->diags().all().empty());
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency stress (the debug-tsan target)
 // ---------------------------------------------------------------------------
