@@ -10,6 +10,9 @@
 //                phase A  cold opt::analyze_layout vs
 //                         opt::update_layout_analysis with one dirty
 //                         handler                       — target >= 3x
+//                phase B  opt::layout of the program at the default
+//                         model, from its analysis, and its restart
+//                         count                         — measured
 //   layout       the ten paper apps against an 8-variant grid: opt::layout
 //                per variant (cold) vs one opt::analyze_layout plus eight
 //                index-based merges (shared)    — target >= 2x
@@ -63,6 +66,7 @@ const char* kGrid = "stages=4,8,12,16;salus=2,4";
 const std::vector<std::string> kBackends = {"p4", "ebpf", "interp"};
 constexpr int kParseReps = 20;
 constexpr int kPhaseAReps = 10;
+constexpr int kPhaseBReps = 10;
 constexpr int kLayoutReps = 40;
 constexpr int kSweepReps = 3;
 constexpr int kIncrementalReps = 30;
@@ -148,6 +152,8 @@ struct ScaleResults {
   double phasea_cold_ms = 0;
   double phasea_inc_ms = 0;
   long handlers_reused = 0;
+  double phaseb_ms = 0;  // one cold opt::layout, mean over kPhaseBReps
+  int phaseb_restarts = 0;
 };
 
 ScaleResults measure_scale() {
@@ -204,6 +210,16 @@ ScaleResults measure_scale() {
   r.phasea_cold_ms = phasea[0];
   r.phasea_inc_ms = phasea[1];
   r.handlers_reused = reused;
+
+  // Phase B alone: the greedy merger over the unedited program's 8,100
+  // items, restarts and all.
+  const auto analysis = prev->layout_analysis_ptr();
+  const auto phaseb = interleaved_ms(kPhaseBReps, [&](bool) {
+    DiagnosticEngine diags;
+    r.phaseb_restarts =
+        opt::layout(analysis, opts.model, diags).restarts;
+  });
+  r.phaseb_ms = phaseb[0] / kPhaseBReps;
   return r;
 }
 
@@ -509,6 +525,8 @@ int main() {
               s.phasea_cold_ms, kPhaseAReps);
   std::printf("%-24s %9.2f ms  (%ld handlers reused)\n",
               "phase A: incremental", s.phasea_inc_ms, s.handlers_reused);
+  std::printf("%-24s %9.2f ms  (per layout, %d restarts)\n",
+              "phase B: cold", s.phaseb_ms, s.phaseb_restarts);
   j.field("decls", s.decls)
       .field("handlers", s.handlers)
       .field("parse_cold_ms", s.parse_cold_ms)
@@ -520,7 +538,9 @@ int main() {
       .field("phasea_cold_ms", s.phasea_cold_ms)
       .field("phasea_incremental_ms", s.phasea_inc_ms)
       .field("phasea_handlers_reused", s.handlers_reused)
-      .field("phasea_speedup", phasea_x);
+      .field("phasea_speedup", phasea_x)
+      .field("phaseb_ms", s.phaseb_ms)
+      .field("phaseb_restarts", s.phaseb_restarts);
 
   print_header("layout", "cold (analysis per variant) vs shared (analysis "
                          "once), " + std::to_string(kLayoutReps) +

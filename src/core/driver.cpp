@@ -8,6 +8,7 @@
 #include "frontend/incremental_parse.hpp"
 #include "frontend/parser.hpp"
 #include "ir/ir.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sema/depgraph.hpp"
 #include "support/chrono.hpp"
@@ -21,6 +22,13 @@ using Clock = SteadyClock;
 
 constexpr std::array<std::string_view, kNumStages> kStageNames = {
     "parse", "sema", "lower", "layout", "emit"};
+
+obs::Counter& layout_restarts_counter() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "lucid_layout_restarts_total",
+      "Layout placement attempts abandoned to move an array pin");
+  return c;
+}
 
 }  // namespace
 
@@ -330,6 +338,8 @@ bool CompilerDriver::run_stage(Compilation& c, Stage s) const {
       rec.analysis_shared = c.analysis_home() != &c && c.analysis_ready();
       c.artifacts_.pipeline =
           opt::layout(c.layout_analysis_ptr(), c.options_.model, c.diags_);
+      layout_restarts_counter().add(
+          static_cast<std::uint64_t>(c.artifacts_.pipeline.restarts));
       // When this compilation owns the analysis and it was patched from a
       // previous compilation's (incremental recompile), surface how many
       // handlers were carried over.

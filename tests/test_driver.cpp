@@ -6,8 +6,10 @@
 
 #include <memory>
 
+#include "apps/apps.hpp"
 #include "core/backends.hpp"
 #include "interp/testbed.hpp"
+#include "obs/metrics.hpp"
 
 namespace lucid {
 namespace {
@@ -175,6 +177,21 @@ TEST(Driver, TimingReportJsonIsMachineReadable) {
 // ---------------------------------------------------------------------------
 // Backend registry
 // ---------------------------------------------------------------------------
+
+TEST(Driver, LayoutRestartsLandInTheRegistry) {
+  // SFW restarts its placement 3 times at the default model (pinned by
+  // tests/golden/layout_tight.txt); each Layout run adds its restarts to
+  // lucid_layout_restarts_total.
+  const obs::Counter& restarts =
+      obs::Registry::global().counter("lucid_layout_restarts_total");
+  const std::uint64_t before = restarts.value();
+  const CompilerDriver driver;
+  const CompilationPtr comp =
+      driver.run(apps::app("SFW").source, Stage::Layout);
+  ASSERT_TRUE(comp->ok()) << comp->diags().render();
+  EXPECT_EQ(comp->pipeline().restarts, 3);
+  EXPECT_EQ(restarts.value() - before, 3u);
+}
 
 TEST(Driver, DefaultBackendsAreRegistered) {
   BackendRegistry registry;

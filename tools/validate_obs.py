@@ -12,7 +12,8 @@ a JSON object with a ``traceEvents`` list whose entries carry name/ph/ts
 ``prom`` checks the text exposition grammar the tree's Registry emits:
 HELP/TYPE comment lines, legal metric names, numeric sample values, and —
 for histograms — cumulative (monotone non-decreasing) ``le`` buckets whose
-``+Inf`` bucket equals ``_count``.
+``+Inf`` bucket equals ``_count``. Families listed in ``KNOWN_TYPES`` must
+carry their known TYPE.
 
 Exit status: 0 valid, 1 invalid (first failure printed), 2 usage/IO error.
 """
@@ -29,6 +30,11 @@ SAMPLE_RE = re.compile(
     r"\s+(?P<value>\S+)\s*$"
 )
 KNOWN_PHASES = {"X", "i", "B", "E", "M", "C", "b", "e", "n", "s", "t", "f"}
+# Families whose type is fixed: a file that carries one must declare it with
+# this TYPE.
+KNOWN_TYPES = {
+    "lucid_layout_restarts_total": "counter",
+}
 
 
 def fail(message):
@@ -122,6 +128,9 @@ def validate_prom(path):
                 ):
                     fail(f"{where}: bad TYPE line {line!r}")
                 typed[parts[2]] = parts[3]
+                expected = KNOWN_TYPES.get(parts[2])
+                if expected is not None and parts[3] != expected:
+                    fail(f"{where}: {parts[2]} is a {expected}, not {parts[3]}")
             continue
         match = SAMPLE_RE.match(line)
         if match is None:
