@@ -900,7 +900,6 @@ Pipeline layout(std::shared_ptr<const LayoutAnalysis> analysis,
       if (attempt > 0) {
         stages = snapshot;
         std::fill(array_stage.begin(), array_stage.end(), -1);
-        pipe.feasible = true;
         restart = false;
       }
       place_span(prefix, an.order.size(), restart);
@@ -929,7 +928,8 @@ Pipeline layout(std::shared_ptr<const LayoutAnalysis> analysis,
       MergedTable mt;
       mt.members.reserve(ts.members.size());
       for (const int m : ts.members) {
-        const LayoutAnalysis::Item& item = an.items[static_cast<std::size_t>(m)];
+        const LayoutAnalysis::Item& item =
+            an.items[static_cast<std::size_t>(m)];
         mt.members.push_back(item.table);
         mt.rules_per_handler[an.handler_names[static_cast<std::size_t>(
             item.handler)]] += item.rules;

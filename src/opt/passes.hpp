@@ -38,7 +38,23 @@
 // `AtomicTable` copies, stages keep incremental atomic-op/SALU/rule counters
 // instead of recomputing them by iteration inside the stage-scan loop, and
 // per-array pin state is dense-id indexed. Stages are materialized only on
-// actual placement (a failed scan allocates nothing).
+// actual placement (a failed scan allocates nothing). When an access needs
+// its array later than the stage the array was pinned to, the pin moves and
+// the placement restarts. Three rules keep the merger from re-walking work
+// whose result cannot change, none of which alters a placement:
+//
+//  - *Open-table lists*: each stage keeps, in table order, the indices of
+//    its tables still below `members_per_table`; the join scan walks only
+//    those, so its first fit is the same.
+//  - *Closed-stage skip*: a stage at the ALU-op cap, or with every table
+//    slot taken by a full table, rejects every item. The stage scan jumps
+//    over closed stages through a path-compressed "next open stage" index.
+//    An access to an array that is already placed still walks stage by
+//    stage, because a SALU-full stage on its way moves the array's pin.
+//  - *Prefix snapshot*: the items of the global order before the first
+//    array access touch no pin, so they land in the same place on every
+//    attempt. They are placed once per layout and every restart starts
+//    from a snapshot of that state.
 //
 // The merger is program-wide: handlers share one physical pipeline (the event
 // dispatcher selects among them), tables of different handlers are disjoint
