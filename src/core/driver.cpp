@@ -30,6 +30,31 @@ obs::Counter& layout_restarts_counter() {
   return c;
 }
 
+/// Publishes one stage run to the registry: its wall time and the decls it
+/// took from a previous compilation (run_stage and emit call it).
+void publish_stage(Stage s, double wall_ms, int decls_reused) {
+  struct Instruments {
+    obs::Histogram* ns = nullptr;
+    obs::Counter* reused = nullptr;
+  };
+  static const std::array<Instruments, kNumStages> table = [] {
+    std::array<Instruments, kNumStages> t;
+    auto& reg = obs::Registry::global();
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      const obs::Labels labels{{"stage", std::string(kStageNames[i])}};
+      t[i].ns = &reg.histogram("lucid_compiler_stage_ns", labels,
+                               "Wall time of one compiler stage run (ns)");
+      t[i].reused = &reg.counter(
+          "lucid_compiler_decls_reused_total", labels,
+          "Decls a compiler stage took from a previous compilation");
+    }
+    return t;
+  }();
+  const Instruments& in = table[static_cast<std::size_t>(s)];
+  in.ns->observe(static_cast<std::uint64_t>(wall_ms * 1e6));
+  in.reused->add(static_cast<std::uint64_t>(decls_reused));
+}
+
 }  // namespace
 
 std::string_view stage_name(Stage s) {
@@ -317,16 +342,55 @@ bool CompilerDriver::run_stage(Compilation& c, Stage s) const {
       break;
     }
     case Stage::Sema: {
+      // A recompile (decl_reuse_prev_ set) re-checks only the dirty decls.
+      const Compilation* prev = c.decl_reuse_prev_.get();
+      sema::SemaReuse reuse;
+      if (prev != nullptr) {
+        reuse.prev = &prev->ast();
+        reuse.prev_info = &prev->analysis();
+        reuse.reuse_from = c.decl_reuse_from_;
+      }
       sema::TypeChecker tc(c.diags_);
-      ok = tc.check(c.artifacts_.program) &&
+      ok = tc.check(c.artifacts_.program, prev != nullptr ? &reuse : nullptr) &&
            c.diags_.error_count() == errors_before;
       c.artifacts_.info = tc.info();
+      rec.decls_reused = static_cast<int>(tc.decls_reused());
       break;
     }
     case Stage::Lower: {
+      // A recompile splices the graphs of handlers its plan proved
+      // unchanged from prev's IR.
+      const Compilation* prev = c.decl_reuse_prev_.get();
+      ir::LowerReuse reuse;
+      const auto& decls = c.ast().decls;
+      if (prev != nullptr) {
+        reuse.prev = &prev->ir();
+        for (std::size_t i = 0;
+             i < decls.size() && i < c.decl_reuse_from_.size(); ++i) {
+          if (c.decl_reuse_from_[i] >= 0 &&
+              decls[i]->kind == frontend::DeclKind::Handler) {
+            reuse.handlers.insert(decls[i]->name);
+          }
+        }
+      }
+      std::size_t spliced = 0;
       // Read through the accessor: a clone's AST lives in its donor.
-      c.artifacts_.ir = ir::lower(c.ast(), c.diags_);
+      c.artifacts_.ir = ir::lower(c.ast(), c.diags_,
+                                  prev != nullptr ? &reuse : nullptr, &spliced);
       ok = c.diags_.error_count() == errors_before;
+      rec.decls_reused = static_cast<int>(spliced);
+      if (ok && prev != nullptr) {
+        // Arm the incremental Phase A: when Layout later runs, handlers
+        // whose graphs were spliced (unchanged) keep their analysis from
+        // prev; the rest (edited or new) are re-analyzed.
+        c.analysis_reuse_prev_ = c.decl_reuse_prev_;
+        for (const auto& d : decls) {
+          if (d->kind == frontend::DeclKind::Handler &&
+              reuse.handlers.count(d->name) == 0) {
+            c.analysis_dirty_handlers_.insert(d->name);
+          }
+        }
+      }
       break;
     }
     case Stage::Layout: {
@@ -362,6 +426,7 @@ bool CompilerDriver::run_stage(Compilation& c, Stage s) const {
   rec.diag_end = c.diags_.all().size();
   rec.ran = true;
   rec.ok = ok;
+  publish_stage(s, rec.wall_ms, rec.decls_reused);
   return ok;
 }
 
@@ -493,66 +558,11 @@ CompilationPtr CompilerDriver::recompile(const ConstCompilationPtr& prev,
     }
   }
 
-  // ---- Sema: re-check only the dirty decl set --------------------------
-  {
-    StageRecord& rec = comp->mutable_record(Stage::Sema);
-    rec.diag_begin = comp->diags_.all().size();
-    const std::size_t errors_before = comp->diags_.error_count();
-    const auto t0 = Clock::now();
-    sema::TypeChecker tc(comp->diags_);
-    sema::SemaReuse reuse;
-    reuse.prev = &prev->ast();
-    reuse.prev_info = &prev->analysis();
-    reuse.reuse_from = plan.reuse_from;
-    const bool ok = tc.check(comp->artifacts_.program, &reuse) &&
-                    comp->diags_.error_count() == errors_before;
-    comp->artifacts_.info = tc.info();
-    rec.wall_ms = ms_since(t0);
-    rec.diag_end = comp->diags_.all().size();
-    rec.ran = true;
-    rec.ok = ok;
-    rec.decls_reused = static_cast<int>(tc.decls_reused());
-    if (!ok) return comp;
-  }
-  if (last <= static_cast<int>(Stage::Sema)) return comp;
-
-  // ---- Lower: splice unchanged handlers' graphs ------------------------
-  {
-    StageRecord& rec = comp->mutable_record(Stage::Lower);
-    rec.diag_begin = comp->diags_.all().size();
-    const std::size_t errors_before = comp->diags_.error_count();
-    const auto t0 = Clock::now();
-    ir::LowerReuse reuse;
-    reuse.prev = &prev->ir();
-    const auto& decls = comp->artifacts_.program.decls;
-    for (std::size_t i = 0;
-         i < decls.size() && i < plan.reuse_from.size(); ++i) {
-      if (plan.reuse_from[i] >= 0 &&
-          decls[i]->kind == frontend::DeclKind::Handler) {
-        reuse.handlers.insert(decls[i]->name);
-      }
-    }
-    std::size_t spliced = 0;
-    comp->artifacts_.ir =
-        ir::lower(comp->artifacts_.program, comp->diags_, &reuse, &spliced);
-    rec.wall_ms = ms_since(t0);
-    rec.diag_end = comp->diags_.all().size();
-    rec.ran = true;
-    rec.ok = comp->diags_.error_count() == errors_before;
-    rec.decls_reused = static_cast<int>(spliced);
-    if (rec.ok) {
-      // Arm the incremental Phase A: when Layout later runs, handlers whose
-      // graphs were spliced (unchanged) keep their analysis from prev; the
-      // rest (edited or new) are re-analyzed.
-      comp->analysis_reuse_prev_ = prev;
-      for (const auto& d : decls) {
-        if (d->kind == frontend::DeclKind::Handler &&
-            reuse.handlers.count(d->name) == 0) {
-          comp->analysis_dirty_handlers_.insert(d->name);
-        }
-      }
-    }
-  }
+  // Sema and Lower run like any other stage; run_stage reads the armed plan
+  // and redoes only the decls it did not prove unchanged.
+  comp->decl_reuse_prev_ = prev;
+  comp->decl_reuse_from_ = plan.reuse_from;
+  run_until(comp, static_cast<Stage>(last));
   return comp;
 }
 
@@ -597,7 +607,9 @@ BackendArtifact CompilerDriver::emit(const CompilationPtr& comp,
   const auto t0 = Clock::now();
   artifact = backend->emit(*comp);
   artifact.backend = std::string(backend_name);
-  rec.wall_ms += ms_since(t0);
+  const double emit_ms = ms_since(t0);
+  publish_stage(Stage::Emit, emit_ms, 0);
+  rec.wall_ms += emit_ms;
   rec.diag_end = comp->diags().all().size();
   comp->emit_diag_ranges_.emplace_back(diag_begin, rec.diag_end);
   rec.ok = rec.ran ? (rec.ok && artifact.ok) : artifact.ok;

@@ -318,6 +318,12 @@ class Compilation : public std::enable_shared_from_this<Compilation> {
   std::vector<int> parse_spliced_from_;
   /// Parallel to parse_spliced_from_: each decl's index into decl_spans().
   std::vector<std::size_t> parse_span_of_;
+  /// Set by CompilerDriver::recompile after its structural diff: run_stage's
+  /// Sema re-checks and Lower re-lowers only the decls the plan did not
+  /// prove unchanged (decl_reuse_from_[i] < 0, parallel to ast().decls),
+  /// taking the rest from this previous compilation.
+  std::shared_ptr<const Compilation> decl_reuse_prev_;
+  std::vector<int> decl_reuse_from_;
   /// When set, layout_analysis_ptr() first patches this compilation's
   /// (already computed) Phase A analysis via opt::update_layout_analysis,
   /// re-analyzing only analysis_dirty_handlers_; falls back to a cold

@@ -5,9 +5,10 @@
 // Architecture:
 //
 //   - `DataPlane` is the state surface being driven — registers to read and
-//     write, Lucid control events to raise. The interpreter adapter lives in
-//     ctrl/interp_bridge.hpp, the native replica fleet's in
-//     ctrl/native_bridge.hpp.
+//     write, Lucid control events to raise. `RegisterDataPlane` implements
+//     the register half and the event check once, over pisa::RegisterFile;
+//     the interpreter adapter (ctrl/interp_bridge.hpp) and the native
+//     replica fleet's (ctrl/native_bridge.hpp) add only event injection.
 //   - `ControlPlane` owns an asynchronous update queue. `submit()` is
 //     thread-safe and never touches data-plane state itself; queued batches
 //     are applied only at *apply points* — event-scheduler boundaries
@@ -35,7 +36,9 @@
 #include <string>
 #include <vector>
 
+#include "ir/ir.hpp"
 #include "obs/metrics.hpp"
+#include "pisa/register_array.hpp"
 #include "sched/scheduler.hpp"
 #include "support/chrono.hpp"
 
@@ -66,6 +69,49 @@ class DataPlane {
   /// the switch-CPU path, not a front-panel port).
   virtual bool inject_event(const std::string& event,
                             std::vector<Value> args, sim::Time delay_ns) = 0;
+};
+
+/// The register half of a DataPlane and its event check, written once for
+/// both engines' register files. An array name resolves through the
+/// program's `ir.array_index` to the same slot of every file: a write lands
+/// in each (the fleet replicates control tables across its shards), a read
+/// comes from the first. Cells mask and wrap like pisa::RegisterArray.
+class RegisterDataPlane : public DataPlane {
+ public:
+  [[nodiscard]] bool has_array(const std::string& name) const override {
+    return find(name) != nullptr;
+  }
+  [[nodiscard]] std::int64_t array_size(
+      const std::string& name) const override {
+    const pisa::RegisterArray* a = find(name);
+    return a == nullptr ? -1 : a->size();
+  }
+  bool write(const std::string& array, std::int64_t index,
+             Value value) override;
+  [[nodiscard]] Value read(const std::string& array,
+                           std::int64_t index) const override {
+    const pisa::RegisterArray* a = find(array);
+    return a == nullptr ? 0 : a->get(index);
+  }
+  /// Whether ir::ProgramIR::admit_event admits `arity` arguments.
+  [[nodiscard]] bool can_inject(const std::string& event,
+                                std::size_t arity) const override {
+    const ir::EventInfo* ev = ir_.find_event(event);
+    return ev != nullptr && ev->params.size() == arity;
+  }
+
+ protected:
+  /// `files` (at least one) hold `ir`'s arrays and outlive the adapter.
+  RegisterDataPlane(const ir::ProgramIR& ir,
+                    std::vector<pisa::RegisterFile*> files)
+      : ir_(ir), files_(std::move(files)) {}
+
+ private:
+  /// The array `name` in the first file, nullptr when undeclared.
+  [[nodiscard]] const pisa::RegisterArray* find(const std::string& name) const;
+
+  const ir::ProgramIR& ir_;
+  std::vector<pisa::RegisterFile*> files_;
 };
 
 // ---------------------------------------------------------------------------

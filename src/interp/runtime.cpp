@@ -64,15 +64,13 @@ Value binop_eval(BinOp op, Value l, Value r) {
 }  // namespace
 
 Runtime::Runtime(ConstCompilationPtr comp, sched::EventScheduler& node)
-    : comp_(std::move(comp)), node_(node) {
-  for (const auto& arr : comp_->ir().arrays) {
-    node_.node().add_array(arr.name, arr.width, arr.size);
-  }
+    : comp_(std::move(comp)),
+      node_(node),
+      registers_(pisa::make_register_file(comp_->ir().arrays)),
+      counters_(comp_->ir().events.size()) {
   // Prebuild every per-event lookup the hot path needs: handlers dense by
   // event id, everything else hashed by name.
   handlers_by_id_.assign(comp_->ir().events.size(), nullptr);
-  exec_count_by_id_.assign(comp_->ir().events.size(), 0);
-  gen_count_by_id_.assign(comp_->ir().events.size(), 0);
   for (const auto& d : comp_->ast().decls) {
     if (d->kind == DeclKind::Handler) {
       const auto* ev = comp_->ast().find_event(d->name);
@@ -93,25 +91,10 @@ Runtime::Runtime(ConstCompilationPtr comp, sched::EventScheduler& node)
   node_.set_execute([this](const pisa::Packet& p) { execute(p); });
 }
 
-bool Runtime::make_event(const std::string& event, std::vector<Value>& args,
-                         sched::GenEvent* out) const {
-  const auto it = events_by_name_.find(std::string_view(event));
-  if (it == events_by_name_.end()) return false;
-  const EventDecl& ev = *it->second;
-  if (args.size() != ev.params.size()) return false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    args[i] = mask_width(args[i], ev.params[i].type.width);
-  }
-  out->event_id = ev.event_id;
-  out->args = std::move(args);
-  return true;
-}
-
 bool Runtime::inject(const std::string& event, std::vector<Value> args,
                      sim::Time delay_ns, std::int64_t location) {
   sched::GenEvent ev;
-  if (!make_event(event, args, &ev)) return false;
-  ev.delay_ns = delay_ns;
+  if (!admit(event, std::move(args), delay_ns, &ev)) return false;
   ev.location = location;
   node_.inject(std::move(ev));
   return true;
@@ -120,22 +103,23 @@ bool Runtime::inject(const std::string& event, std::vector<Value> args,
 bool Runtime::inject_control(const std::string& event,
                              std::vector<Value> args, sim::Time delay_ns) {
   sched::GenEvent ev;
-  if (!make_event(event, args, &ev)) return false;
-  ev.delay_ns = delay_ns;
+  if (!admit(event, std::move(args), delay_ns, &ev)) return false;
   node_.inject_control(std::move(ev));
   return true;
 }
 
-const frontend::EventDecl* Runtime::find_event(
-    const std::string& name) const {
-  const auto it = events_by_name_.find(std::string_view(name));
-  return it == events_by_name_.end() ? nullptr : it->second;
+bool Runtime::admit(const std::string& event, std::vector<Value> args,
+                    sim::Time delay_ns, sched::GenEvent* out) const {
+  const ir::EventInfo* ev = comp_->ir().admit_event(event, args);
+  if (ev == nullptr) return false;
+  out->event_id = ev->event_id;
+  out->args = std::move(args);
+  out->delay_ns = delay_ns;
+  return true;
 }
 
 const RunStats& Runtime::stats() const {
-  stats_.assign(comp_->ir().events, exec_count_by_id_, gen_count_by_id_,
-                total_executions_);
-  return stats_;
+  return counters_.stats(comp_->ir().events);
 }
 
 Value Runtime::memop_apply(const std::string& name, Value cell,
@@ -175,8 +159,7 @@ void Runtime::execute(const pisa::Packet& p) {
           : nullptr;
   if (h_ptr == nullptr) return;
   const HandlerDecl& h = *h_ptr;
-  ++total_executions_;
-  ++exec_count_by_id_[static_cast<std::size_t>(p.event_id)];
+  counters_.executed(static_cast<std::size_t>(p.event_id));
   if (trace_) trace_(h.name, p);
   // Sampled span around handler execution (one relaxed load when tracing is
   // off). The span only reads the wall clock and writes the tracer's own
@@ -238,10 +221,7 @@ bool Runtime::exec_stmt(Frame& frame, const Stmt& s, Val* ret) {
       if (!v.is_event()) return false;
       sched::GenEvent ev = *v.ev;
       ev.multicast = ev.multicast || g->multicast;
-      if (ev.event_id >= 0 &&
-          static_cast<std::size_t>(ev.event_id) < gen_count_by_id_.size()) {
-        ++gen_count_by_id_[static_cast<std::size_t>(ev.event_id)];
-      }
+      counters_.generated(ev.event_id);
       node_.generate(std::move(ev));
       return false;
     }

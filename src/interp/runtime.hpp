@@ -7,13 +7,16 @@
 // ns-resolution simulator.
 //
 // Semantics: one handler execution == one atomic pipeline pass. Array state
-// lives in the switch's register arrays (width-masked). `generate` feeds the
-// event scheduler, which serializes the event through the recirculation port
-// or the fabric. Memops are applied in their canonicalized single-sALU form.
+// lives in the Runtime's pisa::RegisterFile (IR declaration order,
+// width-masked), the same type native::Replica holds. Injected events pass
+// ir::ProgramIR::admit_event, the Replica's admission rule too. `generate`
+// feeds the event scheduler, which serializes the event through the
+// recirculation port or the fabric. Memops are applied in their
+// canonicalized single-sALU form.
 //
 // The per-event hot path (inject → dispatch → handler body) uses dense-id
 // and unordered lookups prebuilt at construction; the name-keyed RunStats
-// view is materialized lazily from dense counters.
+// view is materialized lazily from sched::RunCounters.
 #pragma once
 
 #include <functional>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "core/driver.hpp"
+#include "pisa/register_array.hpp"
 #include "sched/scheduler.hpp"
 
 namespace lucid::interp {
@@ -49,8 +53,8 @@ class Runtime {
   [[nodiscard]] const Compilation& compilation() const { return *comp_; }
 
   /// Injects an event by name (external arrival at this switch through a
-  /// front-panel port). Returns false — and injects nothing — if the event
-  /// is unknown or the argument count does not match the declaration;
+  /// front-panel port). Returns false — and injects nothing — unless
+  /// ir::ProgramIR::admit_event admits it (known event, matching arity);
   /// arguments are masked to their declared widths like `EventCtor` does.
   bool inject(const std::string& event, std::vector<Value> args,
               sim::Time delay_ns = 0, std::int64_t location = -1);
@@ -61,13 +65,15 @@ class Runtime {
   bool inject_control(const std::string& event, std::vector<Value> args,
                       sim::Time delay_ns = 0);
 
-  /// Event-declaration lookup for control-plane validation: nullptr when
-  /// the program declares no such event.
-  [[nodiscard]] const frontend::EventDecl* find_event(
-      const std::string& name) const;
-
+  /// The register file, IR declaration order.
+  [[nodiscard]] pisa::RegisterFile& registers() { return registers_; }
+  /// The declared array `name`, nullptr when the program has none.
   [[nodiscard]] pisa::RegisterArray* array(const std::string& name) {
-    return node_.node().find_array(name);
+    const auto& index = comp_->ir().array_index;
+    const auto it = index.find(name);
+    return it == index.end()
+               ? nullptr
+               : &registers_[static_cast<std::size_t>(it->second)];
   }
   /// Resolves an array name through function-parameter aliases installed by
   /// UserFun calls (between handler executions the alias map is empty, so
@@ -136,13 +142,14 @@ class Runtime {
 
   [[nodiscard]] Value memop_apply(const std::string& name, Value cell,
                                   Value arg) const;
-  /// Validates + width-masks an injected event; false on unknown name or
-  /// arity mismatch.
-  bool make_event(const std::string& event, std::vector<Value>& args,
-                  sched::GenEvent* out) const;
+  /// An injected event as the scheduler takes it, when
+  /// ir::ProgramIR::admit_event admits it (arguments width-masked).
+  bool admit(const std::string& event, std::vector<Value> args,
+             sim::Time delay_ns, sched::GenEvent* out) const;
 
   ConstCompilationPtr comp_;
   sched::EventScheduler& node_;
+  pisa::RegisterFile registers_;
   std::function<void(const std::string&, const pisa::Packet&)> trace_;
 
   // Prebuilt hot-path lookups: dense by event id where an id exists,
@@ -156,12 +163,7 @@ class Runtime {
       funs_by_name_;
   std::unordered_map<std::string, std::string> array_alias_;
 
-  // Dense per-event counters; the name-keyed RunStats view is rebuilt on
-  // demand by stats().
-  std::vector<std::uint64_t> exec_count_by_id_;
-  std::vector<std::uint64_t> gen_count_by_id_;
-  std::uint64_t total_executions_ = 0;
-  mutable RunStats stats_;
+  sched::RunCounters counters_;
 };
 
 }  // namespace lucid::interp

@@ -230,6 +230,13 @@ struct ProgramIR {
 
   [[nodiscard]] const ArrayInfo* find_array(std::string_view name) const;
   [[nodiscard]] const MemopInfo* find_memop(std::string_view name) const;
+  [[nodiscard]] const EventInfo* find_event(std::string_view name) const;
+  /// Event admission, the one rule both engines apply to an event entering
+  /// from outside a handler (an injection or a control-plane post): the
+  /// event `name` when `args` match its arity, with every argument masked
+  /// to its parameter width like an event constructor; nullptr otherwise.
+  [[nodiscard]] const EventInfo* admit_event(
+      std::string_view name, std::vector<std::int64_t>& args) const;
   [[nodiscard]] int max_handler_longest_path() const;
   /// The paper's "unoptimized stage count" (Fig 12 numerator): without
   /// branch inlining, reordering, or merging, every atomic table needs its

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "ir/ir.hpp"
+#include "support/bits.hpp"
 
 namespace lucid::ir {
 
@@ -178,6 +179,23 @@ const MemopInfo* ProgramIR::find_memop(std::string_view name) const {
   const auto it = memop_index.find(std::string(name));
   return it == memop_index.end() ? nullptr
                                  : &memops[static_cast<std::size_t>(it->second)];
+}
+
+const EventInfo* ProgramIR::find_event(std::string_view name) const {
+  for (const auto& ev : events) {
+    if (ev.name == name) return &ev;
+  }
+  return nullptr;
+}
+
+const EventInfo* ProgramIR::admit_event(
+    std::string_view name, std::vector<std::int64_t>& args) const {
+  const EventInfo* ev = find_event(name);
+  if (ev == nullptr || args.size() != ev->params.size()) return nullptr;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    args[i] = support::mask_width(args[i], ev->params[i].second);
+  }
+  return ev;
 }
 
 int ProgramIR::max_handler_longest_path() const {

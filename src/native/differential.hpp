@@ -181,9 +181,8 @@ inline EngineResult run_interp(const std::string& source,
   const auto t1 = std::chrono::steady_clock::now();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
 
-  for (const auto& arr : tb.compilation().ir().arrays) {
-    const pisa::RegisterArray* a = rt.array(arr.name);
-    r.arrays.emplace_back(a->data(), a->data() + a->size());
+  for (const pisa::RegisterArray& a : rt.registers()) {
+    r.arrays.push_back(a.cells());
   }
   r.stats = rt.stats();
   const auto& sched_stats = tb.sched_at(1).stats();
@@ -212,8 +211,8 @@ inline EngineResult run_native(const std::shared_ptr<const Program>& prog,
   const auto t1 = std::chrono::steady_clock::now();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
 
-  for (std::size_t i = 0; i < rep.array_count(); ++i) {
-    r.arrays.push_back(rep.array_cells(i));
+  for (const pisa::RegisterArray& a : rep.registers()) {
+    r.arrays.push_back(a.cells());
   }
   r.stats = rep.run_stats();
   r.executed = rep.stats().executed;

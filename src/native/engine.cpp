@@ -5,37 +5,8 @@
 #include <limits>
 
 #include "obs/metrics.hpp"
-#include "support/bits.hpp"
 
 namespace lucid::native {
-
-namespace {
-
-using support::mask_width;
-
-/// Validates an injected event against the IR declaration and masks args to
-/// their param widths (EventCtor semantics).
-const ir::EventInfo* validate_event(const ir::ProgramIR& ir,
-                                    const std::string& name,
-                                    std::vector<std::int64_t>& args) {
-  // ABI hard cap, checked before the declaration walk: the fixed args[]
-  // slabs (RPacket, PacketIn) hold kMaxArgs words, so an over-arity
-  // injection must be rejected, never truncated. Program::build refuses
-  // events declared wider, but injection is caller input — same reject
-  // semantics as an arity mismatch.
-  if (args.size() > static_cast<std::size_t>(kMaxArgs)) return nullptr;
-  for (const auto& ev : ir.events) {
-    if (ev.name != name) continue;
-    if (args.size() != ev.params.size()) return nullptr;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      args[i] = mask_width(args[i], ev.params[i].second);
-    }
-    return &ev;
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Program
@@ -64,14 +35,8 @@ double measure_raw_batch_pps(const ir::ProgramIR& ir, const Module& mod,
                   0xfff;
     }
   }
-  std::vector<std::vector<std::int64_t>> cells;
-  cells.reserve(ir.arrays.size());
-  for (const auto& arr : ir.arrays) {
-    cells.emplace_back(static_cast<std::size_t>(arr.size), 0);
-  }
-  std::vector<std::int64_t*> ptrs;
-  ptrs.reserve(cells.size());
-  for (auto& c : cells) ptrs.push_back(c.data());
+  pisa::RegisterFile scratch = pisa::make_register_file(ir.arrays);
+  const std::vector<std::int64_t*> ptrs = pisa::cell_pointers(scratch);
   const auto stride =
       static_cast<std::size_t>(std::max<std::int32_t>(mod.max_gens(), 1));
   std::vector<GenOut> out(static_cast<std::size_t>(kBatch) * stride);
@@ -112,29 +77,18 @@ std::shared_ptr<const Program> Program::build(ConstCompilationPtr comp,
   return prog;
 }
 
-const ir::EventInfo* Program::find_event(const std::string& name) const {
-  for (const auto& ev : comp_->ir().events) {
-    if (ev.name == name) return &ev;
-  }
-  return nullptr;
-}
-
 // ---------------------------------------------------------------------------
 // Replica
 // ---------------------------------------------------------------------------
 
 Replica::Replica(std::shared_ptr<const Program> prog, ReplicaConfig cfg)
-    : prog_(std::move(prog)), cfg_(cfg) {
+    : prog_(std::move(prog)),
+      cfg_(cfg),
+      registers_(pisa::make_register_file(prog_->ir().arrays)),
+      cell_ptrs_(pisa::cell_pointers(registers_)),
+      counters_(prog_->ir().events.size()) {
   const ir::ProgramIR& ir = prog_->ir();
-  cells_.reserve(ir.arrays.size());
-  for (const auto& arr : ir.arrays) {
-    cells_.emplace_back(static_cast<std::size_t>(arr.size), 0);
-  }
-  array_ptrs_.reserve(cells_.size());
-  for (auto& c : cells_) array_ptrs_.push_back(c.data());
   has_handler_by_id_.assign(ir.events.size(), 0);
-  exec_count_by_id_.assign(ir.events.size(), 0);
-  gen_count_by_id_.assign(ir.events.size(), 0);
   for (const auto& ev : ir.events) {
     if (ev.has_handler) {
       has_handler_by_id_[static_cast<std::size_t>(ev.event_id)] = 1;
@@ -191,10 +145,13 @@ void Replica::push(sim::Time t, Kind kind, const RPacket& pkt) {
   push_idx(t, kind, idx);
 }
 
-bool Replica::make_packet(const std::string& event,
-                          std::vector<std::int64_t>& args,
-                          RPacket* out) const {
-  const ir::EventInfo* ev = validate_event(prog_->ir(), event, args);
+bool Replica::admit(const std::string& event, std::vector<std::int64_t>& args,
+                    RPacket* out) const {
+  // The fixed args[] slabs (RPacket, PacketIn) hold kMaxArgs words, so a
+  // wider injection is refused, never truncated. Program::build refuses
+  // events declared wider, but injection is caller input.
+  if (args.size() > static_cast<std::size_t>(kMaxArgs)) return false;
+  const ir::EventInfo* ev = prog_->ir().admit_event(event, args);
   if (ev == nullptr) return false;
   out->event_id = ev->event_id;
   out->nargs = static_cast<std::int32_t>(args.size());
@@ -206,7 +163,7 @@ bool Replica::schedule_inject(sim::Time t, const std::string& event,
                               std::vector<std::int64_t> args,
                               sim::Time delay_ns, std::int64_t location) {
   RPacket p;
-  if (!make_packet(event, args, &p)) return false;
+  if (!admit(event, args, &p)) return false;
   // The reference registers a closure with Simulator::at, which clamps a
   // past `t` to now; to_packet stamps creation when that closure fires.
   const sim::Time at = std::max(t, now_);
@@ -224,6 +181,18 @@ bool Replica::schedule_inject(sim::Time t, const std::string& event,
   pi.seq = next_seq_++;
   pi.pkt = p;
   pending_.push_back(pi);
+  return true;
+}
+
+bool Replica::inject_control(const std::string& event,
+                             std::vector<std::int64_t> args,
+                             sim::Time delay_ns) {
+  // EventScheduler::inject_control: stamped now, local, recirculated.
+  RPacket p;
+  if (!admit(event, args, &p)) return false;
+  p.created = now_;
+  p.due = now_ + delay_ns;
+  recirculate(p);
   return true;
 }
 
@@ -251,43 +220,26 @@ void Replica::route_out(const RPacket& p) {
 }
 
 void Replica::dispatch_gen(const GenOut& g) {
-  if (g.event_id >= 0 &&
-      static_cast<std::size_t>(g.event_id) < gen_count_by_id_.size()) {
-    ++gen_count_by_id_[static_cast<std::size_t>(g.event_id)];
-  }
+  counters_.generated(g.event_id);
   RPacket p;
   p.event_id = g.event_id;
   p.nargs = g.nargs;
   for (std::int32_t i = 0; i < g.nargs; ++i) p.args[i] = g.args[i];
   p.created = now_;
   p.due = now_ + g.delay_ns;
-
-  const int self = cfg_.switch_cfg.id;
-  const ir::ProgramIR& ir = prog_->ir();
-  const std::vector<std::int64_t>* members =
-      g.multicast != 0 && g.group >= 0
-          ? &ir.groups[static_cast<std::size_t>(g.group)].members
-          : nullptr;
-  if (members != nullptr && !members->empty()) {
-    // Multicast engine: one unicast clone per member, in member order.
-    for (const std::int64_t member : *members) {
-      RPacket clone = p;
-      clone.location = member;
-      if (member == self) {
-        recirculate(clone);
-      } else {
-        route_out(clone);
-      }
-    }
-    return;
+  std::span<const std::int64_t> members;
+  if (g.multicast != 0 && g.group >= 0) {
+    members = prog_->ir().groups[static_cast<std::size_t>(g.group)].members;
   }
-  if (g.location >= 0 && g.location != self) {
-    p.location = g.location;
-    route_out(p);
-    return;
-  }
-  p.location = -1;
-  recirculate(p);
+  sched::serialize_generate(g.location, members, cfg_.switch_cfg.id,
+                            [&](std::int64_t location, bool recirc) {
+                              p.location = location;
+                              if (recirc) {
+                                recirculate(p);
+                              } else {
+                                route_out(p);
+                              }
+                            });
 }
 
 void Replica::run_until(sim::Time t) {
@@ -392,8 +344,8 @@ void Replica::run_until(sim::Time t) {
   static obs::Counter& executed = obs::Registry::global().counter(
       "lucid_native_replica_executions_total",
       "Handler executions across native replica runs");
-  executed.add(total_executions_ - published_executions_);
-  published_executions_ = total_executions_;
+  executed.add(counters_.total() - published_executions_);
+  published_executions_ = counters_.total();
   if (shard_packets_ != nullptr) {
     shard_packets_->add(stats_.executed - published_shard_executed_);
     published_shard_executed_ = stats_.executed;
@@ -488,8 +440,7 @@ void Replica::drain_passes() {
       if (fe.from_pool) release_slot(fe.idx);
       continue;
     }
-    ++total_executions_;
-    ++exec_count_by_id_[id];
+    counters_.executed(id);
     PacketIn in;
     in.event_id = p.event_id;
     in.nargs = p.nargs;
@@ -523,7 +474,7 @@ void Replica::flush_exec_batch() {
   // handler's entry, so state is byte-identical to sequential one-packet
   // calls — the contract NativeBatchApps.BatchMatchesSequentialRunOne pins
   // on every app (tests/test_native.cpp).
-  prog_->module().run_batch_raw(array_ptrs_.data(), batch_in_.data(), n,
+  prog_->module().run_batch_raw(cell_ptrs_.data(), batch_in_.data(), n,
                                 batch_out_.data(), batch_counts_.data());
   // Generated events dispatch per packet, in packet order — the same
   // interleaving the sequential loop produces (packet i's generates all
@@ -570,26 +521,8 @@ void Replica::compact_pending() {
   }
 }
 
-bool Replica::control_write(std::size_t decl_index, std::int64_t index,
-                            std::int64_t value) {
-  if (decl_index >= cells_.size()) return false;
-  auto& cells = cells_[decl_index];
-  cells[pisa::wrap_index(index, cells.size())] =
-      mask_width(value, prog_->ir().arrays[decl_index].width);
-  return true;
-}
-
-std::int64_t Replica::control_read(std::size_t decl_index,
-                                   std::int64_t index) const {
-  if (decl_index >= cells_.size()) return 0;
-  const auto& cells = cells_[decl_index];
-  return cells[pisa::wrap_index(index, cells.size())];
-}
-
 const RunStats& Replica::run_stats() const {
-  run_stats_.assign(prog_->ir().events, exec_count_by_id_, gen_count_by_id_,
-                    total_executions_);
-  return run_stats_;
+  return counters_.stats(prog_->ir().events);
 }
 
 }  // namespace lucid::native

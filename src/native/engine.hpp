@@ -4,13 +4,18 @@
 // native::Replica is the one host of a loaded Program (ReplicaFleet in
 // fleet.hpp shards it over cores): a single-node event loop with POD packets
 // on one (time, seq) heap and no std::function in the hot loop. It does not
-// copy the switch's timing rules but calls them: the ingress disposition
-// (sched::ingress_disposition), port serialization (pisa::PortClock) and the
-// event frame size (pisa::event_frame_bytes). It reproduces the simulator's
-// event interleaving exactly (see the seq-order notes on Replica below), so
-// after a run its register state is byte-identical to an interp::Runtime
-// run of the same schedule — the differential suite (tests/test_native.cpp)
-// and bench_native both pin this.
+// copy the host rules of the interpreter's stack but calls them: the ingress
+// disposition (sched::ingress_disposition), the generate serializer
+// (sched::serialize_generate), port serialization (pisa::PortClock), the
+// event frame size (pisa::event_frame_bytes), event admission
+// (ir::ProgramIR::admit_event), the run counters (sched::RunCounters) and
+// the register file (pisa::RegisterFile). What it still writes on its own
+// is the loop: the heap and seq allocation, the PFC stream and the
+// delay-queue bookkeeping. It reproduces the simulator's event interleaving
+// exactly (see the seq-order notes on Replica below), so after a run its
+// register state is byte-identical to an interp::Runtime run of the same
+// schedule — the differential suite (tests/test_native.cpp) and
+// bench_native both pin this.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 #include "native/abi.hpp"
 #include "native/emit.hpp"
 #include "native/jit.hpp"
+#include "pisa/register_array.hpp"
 #include "sched/scheduler.hpp"
 
 namespace lucid::obs {
@@ -52,7 +58,9 @@ class Program {
   [[nodiscard]] const Module& module() const { return *module_; }
   [[nodiscard]] const EmittedModule& emitted() const { return emitted_; }
 
-  [[nodiscard]] const ir::EventInfo* find_event(const std::string& name) const;
+  [[nodiscard]] const ir::EventInfo* find_event(const std::string& name) const {
+    return ir().find_event(name);
+  }
 
  private:
   ConstCompilationPtr comp_;
@@ -110,11 +118,19 @@ class Replica {
                    ReplicaConfig cfg = {});
 
   /// Registers an external arrival at absolute time `t` (clamped to now(),
-  /// like Simulator::at). Validates and width-masks like
-  /// interp::Runtime::inject; false on unknown event / bad arity.
+  /// like Simulator::at). Admitted by ir::ProgramIR::admit_event, like
+  /// interp::Runtime::inject, and refused above kMaxArgs arguments; false
+  /// (nothing scheduled) otherwise.
   bool schedule_inject(sim::Time t, const std::string& event,
                        std::vector<std::int64_t> args, sim::Time delay_ns = 0,
                        std::int64_t location = -1);
+
+  /// Control-plane entry at now(), like interp::Runtime::inject_control:
+  /// the event packet enters through the recirculation port (the switch-CPU
+  /// path), due delay_ns later. Same admission as schedule_inject. Only
+  /// legal while the replica is quiescent (no run_until in flight on it).
+  bool inject_control(const std::string& event, std::vector<std::int64_t> args,
+                      sim::Time delay_ns = 0);
 
   /// Runs every entry due at or before `t`.
   void run_until(sim::Time t);
@@ -123,21 +139,30 @@ class Replica {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const RunStats& run_stats() const;
 
-  /// Post-run register state, IR declaration order (for byte comparison
-  /// against the reference engine's pisa::RegisterArray cells).
+  /// The register file, IR declaration order: the same type
+  /// interp::Runtime holds, so engines compare cell for cell. The
+  /// accessors below forward to it. Mutable access (the control plane's) is
+  /// only legal while the replica is quiescent (no run_until in flight).
+  [[nodiscard]] pisa::RegisterFile& registers() { return registers_; }
+  [[nodiscard]] const pisa::RegisterFile& registers() const {
+    return registers_;
+  }
   [[nodiscard]] const std::vector<std::int64_t>& array_cells(
       std::size_t decl_index) const {
-    return cells_[decl_index];
+    return registers_[decl_index].cells();
   }
-  [[nodiscard]] std::size_t array_count() const { return cells_.size(); }
-
-  /// Control-plane cell access (FleetDataPlane): width-masked writes and
-  /// wrapped indexes, exactly like pisa::RegisterArray::set/get. Only legal
-  /// while the replica is quiescent (no run_until in flight on it).
+  [[nodiscard]] std::size_t array_count() const { return registers_.size(); }
   bool control_write(std::size_t decl_index, std::int64_t index,
-                     std::int64_t value);
+                     std::int64_t value) {
+    if (decl_index >= registers_.size()) return false;
+    registers_[decl_index].set(index, value);
+    return true;
+  }
   [[nodiscard]] std::int64_t control_read(std::size_t decl_index,
-                                          std::int64_t index) const;
+                                          std::int64_t index) const {
+    return decl_index < registers_.size() ? registers_[decl_index].get(index)
+                                          : 0;
+  }
 
   /// Consumed-prefix compaction threshold for the pending-injection vector
   /// (run_until erases the drained prefix once pending_head_ passes it, so
@@ -229,8 +254,10 @@ class Replica {
   void recirculate(const RPacket& p);
   void route_out(const RPacket& p);
   void dispatch_gen(const GenOut& g);
-  bool make_packet(const std::string& event, std::vector<std::int64_t>& args,
-                   RPacket* out) const;
+  /// Event admission plus the ABI cap: false unless `args` fit kMaxArgs
+  /// and ir::ProgramIR::admit_event admits the event.
+  bool admit(const std::string& event, std::vector<std::int64_t>& args,
+             RPacket* out) const;
 
   std::shared_ptr<const Program> prog_;
   ReplicaConfig cfg_;
@@ -244,8 +271,8 @@ class Replica {
   std::vector<PassEntry> pass_q_;  // sorted by construction
   std::size_t pass_head_ = 0;
 
-  std::vector<std::vector<std::int64_t>> cells_;  // IR declaration order
-  std::vector<std::int64_t*> array_ptrs_;
+  pisa::RegisterFile registers_;
+  std::vector<std::int64_t*> cell_ptrs_;  // the module ABI's view of it
   std::vector<char> has_handler_by_id_;
 
   // Drain scratch: the executing subset of a drain as ABI PacketIn
@@ -263,13 +290,10 @@ class Replica {
   bool delay_open_ = false;
 
   Stats stats_;
-  std::vector<std::uint64_t> exec_count_by_id_;
-  std::vector<std::uint64_t> gen_count_by_id_;
-  std::uint64_t total_executions_ = 0;
+  sched::RunCounters counters_;
   /// Executions already flushed to the obs registry (run_until publishes
   /// the delta once per call, keeping the event loop free of atomics).
   std::uint64_t published_executions_ = 0;
-  mutable RunStats run_stats_;
 
   /// Per-shard labeled instruments (shard_id >= 0 only; null otherwise, so
   /// the single-replica hot path pays one predictable branch per drain).

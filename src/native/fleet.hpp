@@ -97,11 +97,20 @@ class ReplicaFleet {
   bool schedule_inject(sim::Time t, const std::string& event,
                        std::vector<std::int64_t> args, sim::Time delay_ns = 0,
                        std::int64_t location = -1) {
-    const ir::EventInfo* ev = prog_->find_event(event);
-    if (ev == nullptr) return false;
-    const std::size_t s = route(shards(), location, ev->event_id, args);
-    return shards_[s]->schedule_inject(t, event, std::move(args), delay_ns,
-                                       location);
+    Replica* shard = shard_for(event, location, args);
+    return shard != nullptr &&
+           shard->schedule_inject(t, event, std::move(args), delay_ns,
+                                  location);
+  }
+
+  /// Routes a control-plane event like an unaddressed arrival and enters it
+  /// through that shard's switch-CPU path (Replica::inject_control). Only
+  /// legal between run_until calls.
+  bool inject_control(const std::string& event,
+                      std::vector<std::int64_t> args, sim::Time delay_ns) {
+    Replica* shard = shard_for(event, -1, args);
+    return shard != nullptr &&
+           shard->inject_control(event, std::move(args), delay_ns);
   }
 
   /// Runs every shard up to `t`, in parallel on the pool. Returns with all
@@ -145,6 +154,14 @@ class ReplicaFleet {
   }
 
  private:
+  /// The shard `route` picks for an injection, nullptr for an unknown event.
+  Replica* shard_for(const std::string& event, std::int64_t location,
+                     const std::vector<std::int64_t>& args) {
+    const ir::EventInfo* ev = prog_->find_event(event);
+    if (ev == nullptr) return nullptr;
+    return shards_[route(shards(), location, ev->event_id, args)].get();
+  }
+
   std::shared_ptr<const Program> prog_;
   FleetConfig cfg_;
   std::vector<std::unique_ptr<Replica>> shards_;

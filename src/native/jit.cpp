@@ -2,6 +2,7 @@
 
 #include "native/emit.hpp"
 #include "obs/metrics.hpp"
+#include "support/strings.hpp"
 
 #include <dlfcn.h>
 #include <fcntl.h>
@@ -35,18 +36,6 @@ namespace {
 std::string compiler() {
   if (const char* env = std::getenv("LUCID_NATIVE_CXX")) return env;
   return LUCID_NATIVE_CXX_DEFAULT;
-}
-
-/// FNV-1a over `s`, continued from `h`: the cache keys. Collisions would
-/// require two distinct texts in one process hashing alike — acceptable for
-/// a cache whose worst failure is reusing code with identical entry symbols.
-std::uint64_t fnv1a(std::string_view s,
-                    std::uint64_t h = 14695981039346656037ull) {
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 std::string read_file(const std::string& path) {
@@ -211,7 +200,10 @@ std::shared_ptr<Module> Module::load(const std::string& source,
   static obs::Counter& units_reused = obs::Registry::global().counter(
       "lucid_native_jit_units_reused_total",
       "Handler units native module loads took from the unit cache");
-  const std::uint64_t key = fnv1a(source);
+  // The cache keys are fnv1a64 hashes: a collision would need two distinct
+  // texts in one process hashing alike, acceptable for a cache whose worst
+  // failure is reusing code with identical entry symbols.
+  const std::uint64_t key = fnv1a64(source);
   Cache& c = cache();
   {
     std::lock_guard<std::mutex> lock(c.mu);
@@ -239,14 +231,14 @@ std::shared_ptr<Module> Module::load(const std::string& source,
   }
 
   // Claim every unit that no load has compiled or is compiling.
-  const std::uint64_t prelude_key = fnv1a(split.prelude);
+  const std::uint64_t prelude_key = fnv1a64(split.prelude);
   std::vector<std::uint64_t> keys;
   std::vector<std::shared_ptr<UnitSlot>> slots;
   std::vector<std::size_t> mine;
   {
     std::lock_guard<std::mutex> lock(c.mu);
     for (std::size_t i = 0; i < split.units.size(); ++i) {
-      keys.push_back(fnv1a(split.units[i].text, prelude_key));
+      keys.push_back(fnv1a64(split.units[i].text, prelude_key));
       std::shared_ptr<UnitSlot>& slot = c.units[keys.back()];
       if (slot == nullptr) {
         slot = std::make_shared<UnitSlot>();

@@ -36,8 +36,6 @@ struct Packet {
   int event_id = -1;
   std::vector<std::int64_t> args;
   std::int64_t location = -1;  // destination switch id; -1 = local
-  bool multicast = false;
-  std::vector<std::int64_t> mcast_members;
 
   // Delay bookkeeping: the event must not execute before `due_ns`.
   sim::Time created_ns = 0;
@@ -49,7 +47,6 @@ struct Packet {
 
   // Diagnostics.
   int recirc_count = 0;
-  std::uint64_t uid = 0;
 
   [[nodiscard]] int wire_bytes() const { return frame_wire_bytes(size_bytes); }
 };

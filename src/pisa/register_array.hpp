@@ -1,5 +1,8 @@
 // Stage-local SRAM register arrays and the stateful-ALU access discipline:
-// one read-modify-write per packet pass, on a single cell (section 2.4).
+// one read-modify-write per packet pass, on a single cell (section 2.4), and
+// the register file both engines hold: interp::Runtime and native::Replica
+// each own one RegisterFile, in IR declaration order, so a control-plane
+// write or a differential comparison addresses the same object in either.
 #pragma once
 
 #include <cassert>
@@ -58,15 +61,41 @@ class RegisterArray {
     for (auto& c : cells_) c = mask(value);
   }
 
-  /// Raw cell storage, size() cells. The differential harness
-  /// (src/native/differential.hpp) copies it out to compare the
-  /// interpreter's state with a native replica's cells byte for byte.
-  [[nodiscard]] const std::int64_t* data() const { return cells_.data(); }
+  /// The cells, for byte comparisons between engines.
+  [[nodiscard]] const std::vector<std::int64_t>& cells() const {
+    return cells_;
+  }
+  /// Raw cell storage (size() cells, never reallocated): what a native
+  /// module's `arrays` ABI argument points at.
+  [[nodiscard]] std::int64_t* data() { return cells_.data(); }
 
  private:
   std::string name_;
   int width_ = 32;
   std::vector<std::int64_t> cells_;
 };
+
+/// A program's register state: one array per declared global, in
+/// declaration order (index it through ir::ProgramIR::array_index).
+using RegisterFile = std::vector<RegisterArray>;
+
+/// The zeroed register file of `decls` (ir::ProgramIR::arrays).
+template <class Decls>
+[[nodiscard]] RegisterFile make_register_file(const Decls& decls) {
+  RegisterFile file;
+  file.reserve(decls.size());
+  for (const auto& d : decls) file.emplace_back(d.name, d.width, d.size);
+  return file;
+}
+
+/// One raw cell pointer per array of `file`, in order: the native module
+/// ABI's view of a register file.
+[[nodiscard]] inline std::vector<std::int64_t*> cell_pointers(
+    RegisterFile& file) {
+  std::vector<std::int64_t*> ptrs;
+  ptrs.reserve(file.size());
+  for (RegisterArray& a : file) ptrs.push_back(a.data());
+  return ptrs;
+}
 
 }  // namespace lucid::pisa

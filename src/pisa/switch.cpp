@@ -27,21 +27,6 @@ Switch::~Switch() {
   m_queue_depth_->sub(static_cast<std::int64_t>(delay_queue_.size()));
 }
 
-RegisterArray& Switch::add_array(const std::string& name, int width,
-                                 std::int64_t size) {
-  auto [it, inserted] =
-      arrays_.emplace(name, RegisterArray(name, width, size));
-  if (!inserted) {
-    it->second = RegisterArray(name, width, size);
-  }
-  return it->second;
-}
-
-RegisterArray* Switch::find_array(const std::string& name) {
-  const auto it = arrays_.find(name);
-  return it == arrays_.end() ? nullptr : &it->second;
-}
-
 void Switch::deliver_to_ingress(Packet p) {
   if (ingress_) {
     // One pipeline pass of latency between parse and the dispatch decision
@@ -80,10 +65,7 @@ void Switch::stall_pipeline(sim::Time duration) {
   m_stall_ns_->add(static_cast<std::uint64_t>(duration));
 }
 
-void Switch::inject(Packet p) {
-  if (p.uid == 0) p.uid = next_uid_++;
-  deliver_to_ingress(std::move(p));
-}
+void Switch::inject(Packet p) { deliver_to_ingress(std::move(p)); }
 
 void Switch::recirculate(Packet p) {
   ++recirculations_;
@@ -94,18 +76,6 @@ void Switch::recirculate(Packet p) {
 
 void Switch::send_external(Packet p, std::function<void(Packet)> deliver) {
   front_port_.send(std::move(p), std::move(deliver));
-}
-
-void Switch::multicast(const Packet& p,
-                       const std::function<void(std::int64_t, Packet)>& each) {
-  for (const auto member : p.mcast_members) {
-    Packet clone = p;
-    clone.multicast = false;
-    clone.mcast_members.clear();
-    clone.location = member;
-    clone.uid = next_uid_++;
-    each(member, std::move(clone));
-  }
 }
 
 void Switch::set_delay_queue_open(bool open) {

@@ -1,26 +1,24 @@
-// The PISA switch hardware model (section 2.2): register arrays, a
-// recirculation port with bandwidth accounting, front-panel ports, the
-// traffic manager's pausable "delay queue", the packet generator that emits
-// PFC pause/unpause pairs (section 3.2 "Implementing delay"), a multicast
-// clone helper, and the management CPU latency model used by the
-// remote-control baseline (section 7.4, Mantis).
+// The PISA switch hardware model (section 2.2): a recirculation port with
+// bandwidth accounting, front-panel ports, the traffic manager's pausable
+// "delay queue", the packet generator that emits PFC pause/unpause pairs
+// (section 3.2 "Implementing delay"), and the management CPU latency model
+// used by the remote-control baseline (section 7.4, Mantis).
 //
 // The switch is *mechanism only*: dispatch policy (what happens to a packet
-// at ingress) is installed by the event scheduler (src/sched), mirroring the
-// paper's layering where the scheduler library sits between the application
-// and the hardware.
+// at ingress) and generate serialization (which port a generated event
+// leaves through, multicast clones included) are the event scheduler's
+// (src/sched), mirroring the paper's layering where the scheduler library
+// sits between the application and the hardware. Register state is not the
+// switch's either: each engine owns a pisa::RegisterFile
+// (pisa/register_array.hpp) built from the program's IR.
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "pisa/packet.hpp"
 #include "pisa/port.hpp"
-#include "pisa/register_array.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -60,11 +58,6 @@ class Switch {
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] const SwitchConfig& config() const { return config_; }
 
-  // ---- register state -----------------------------------------------------
-  RegisterArray& add_array(const std::string& name, int width,
-                           std::int64_t size);
-  [[nodiscard]] RegisterArray* find_array(const std::string& name);
-
   // ---- packet paths ---------------------------------------------------------
   /// The scheduler installs the ingress dispatch function.
   void set_ingress(std::function<void(Packet)> fn) {
@@ -79,11 +72,6 @@ class Switch {
 
   /// Egress through a front-panel port towards the network fabric.
   void send_external(Packet p, std::function<void(Packet)> deliver);
-
-  /// Multicast engine: clones `p` once per member id (clone ids 1..n),
-  /// invoking `each` with (member, clone).
-  void multicast(const Packet& p,
-                 const std::function<void(std::int64_t, Packet)>& each);
 
   // ---- pausable delay queue (traffic manager + PFC) -------------------------
   /// A parked packet holds the simulator (Simulator::hold): only the
@@ -142,14 +130,12 @@ class Switch {
   SwitchConfig config_;
   Port recirc_port_;
   Port front_port_;
-  std::map<std::string, RegisterArray> arrays_;
   std::function<void(Packet)> ingress_;
   std::deque<Packet> delay_queue_;
   bool delay_open_ = false;
   bool pfc_running_ = false;
   ManagementCpu cpu_;
   std::uint64_t recirculations_ = 0;
-  std::uint64_t next_uid_ = 1;
   sim::Time busy_until_ = 0;
   sim::Time stall_ns_total_ = 0;
   std::uint64_t stalled_deliveries_ = 0;

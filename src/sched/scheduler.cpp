@@ -32,8 +32,6 @@ pisa::Packet EventScheduler::to_packet(GenEvent&& ev) const {
   p.event_id = ev.event_id;
   p.args = std::move(ev.args);
   p.location = ev.location;
-  p.multicast = ev.multicast;
-  p.mcast_members = std::move(ev.members);
   p.created_ns = switch_.sim().now();
   p.due_ns = p.created_ns + ev.delay_ns;
   return p;
@@ -51,26 +49,21 @@ void EventScheduler::inject_control(GenEvent ev) {
 }
 
 void EventScheduler::generate(GenEvent ev) {
-  // Serializer: one event packet per generated event; multicast expands
-  // through the multicast engine into unicast clones.
+  std::vector<std::int64_t> members;
+  if (ev.multicast) members = std::move(ev.members);
   pisa::Packet p = to_packet(std::move(ev));
-  if (p.multicast && !p.mcast_members.empty()) {
-    switch_.multicast(p, [this](std::int64_t member, pisa::Packet clone) {
-      if (member == self()) {
-        switch_.recirculate(std::move(clone));
-      } else {
-        route_out(std::move(clone));
-      }
-    });
-    return;
-  }
-  if (p.location >= 0 && p.location != self()) {
-    route_out(std::move(p));
-    return;
-  }
-  // Local event: serialized to the recirculation port.
-  p.location = -1;
-  switch_.recirculate(std::move(p));
+  serialize_generate(p.location, members, self(),
+                     [&](std::int64_t location, bool recirculate) {
+                       // A unicast sends `p` itself; multicast clones copy.
+                       pisa::Packet q =
+                           members.empty() ? std::move(p) : pisa::Packet(p);
+                       q.location = location;
+                       if (recirculate) {
+                         switch_.recirculate(std::move(q));
+                       } else {
+                         route_out(std::move(q));
+                       }
+                     });
 }
 
 void EventScheduler::route_out(pisa::Packet p) {

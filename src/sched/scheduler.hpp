@@ -2,7 +2,7 @@
 // between application handlers and the switch hardware. It implements
 //
 //   - event serialization: each generated event becomes its own event packet
-//     (multicast clones expanded through the multicast engine);
+//     (multicast clones expanded here, one per group member);
 //   - event dispatching: non-local events are forwarded into the fabric,
 //     delayed local events go to the delay machinery, processable events run
 //     their handler;
@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,26 +64,74 @@ enum class Disposition : std::uint8_t {
   return Disposition::Execute;
 }
 
-/// Name-keyed handler statistics of an engine run (interp::Runtime and
-/// native::Replica report this one type).
+/// The generate serializer (section 3.2 "event serialization"), written
+/// once: EventScheduler::generate and native::Replica's dispatch both call
+/// it. It calls `send(location, recirculate)` once per event packet. A
+/// multicast (non-empty `members`) sends one clone per member, in member
+/// order, recirculated when the member is `self` and routed out otherwise;
+/// a remote location is routed out; anything else is local and goes to the
+/// recirculation port with location -1.
+template <class Send>
+inline void serialize_generate(std::int64_t location,
+                               std::span<const std::int64_t> members,
+                               int self, Send&& send) {
+  if (!members.empty()) {
+    for (const std::int64_t member : members) send(member, member == self);
+    return;
+  }
+  if (location >= 0 && location != self) {
+    send(location, false);
+    return;
+  }
+  send(std::int64_t{-1}, true);
+}
+
+/// Name-keyed handler statistics of an engine run (RunCounters::stats
+/// builds it; only events that occurred get an entry).
 struct RunStats {
   std::map<std::string, std::uint64_t> executions;
   std::map<std::string, std::uint64_t> generated;
   std::uint64_t total_executions = 0;
+};
 
-  /// Rebuilds the view from dense per-event-id counters; only events that
-  /// occurred get an entry. `events[id].name` names event `id`.
-  template <class Events>
-  void assign(const Events& events, const std::vector<std::uint64_t>& execs,
-              const std::vector<std::uint64_t>& gens, std::uint64_t total) {
-    executions.clear();
-    generated.clear();
-    total_executions = total;
-    for (std::size_t id = 0; id < events.size(); ++id) {
-      if (execs[id] != 0) executions[events[id].name] = execs[id];
-      if (gens[id] != 0) generated[events[id].name] = gens[id];
+/// The dense per-event-id counters both engines (interp::Runtime and
+/// native::Replica) bump on their hot path.
+class RunCounters {
+ public:
+  explicit RunCounters(std::size_t events = 0)
+      : execs_(events, 0), gens_(events, 0) {}
+
+  /// A handler execution of event `id` (a declared event).
+  void executed(std::size_t id) {
+    ++total_;
+    ++execs_[id];
+  }
+  /// A generate of event `id`; ids outside the program are not counted.
+  void generated(std::int64_t id) {
+    if (id >= 0 && static_cast<std::size_t>(id) < gens_.size()) {
+      ++gens_[static_cast<std::size_t>(id)];
     }
   }
+  [[nodiscard]] std::uint64_t total() const { return total_; }
+
+  /// The name-keyed view; `events[id].name` names event `id`.
+  template <class Events>
+  [[nodiscard]] const RunStats& stats(const Events& events) const {
+    view_.executions.clear();
+    view_.generated.clear();
+    view_.total_executions = total_;
+    for (std::size_t id = 0; id < events.size(); ++id) {
+      if (execs_[id] != 0) view_.executions[events[id].name] = execs_[id];
+      if (gens_[id] != 0) view_.generated[events[id].name] = gens_[id];
+    }
+    return view_;
+  }
+
+ private:
+  std::vector<std::uint64_t> execs_;
+  std::vector<std::uint64_t> gens_;
+  std::uint64_t total_ = 0;
+  mutable RunStats view_;
 };
 
 /// An event the application asks to generate (the runtime form of a

@@ -5,8 +5,7 @@
 
 namespace lucid {
 
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+std::uint64_t fnv1a64(std::string_view data, std::uint64_t h) {
   for (const char c : data) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;  // FNV prime

@@ -9,9 +9,12 @@
 
 namespace lucid {
 
-/// 64-bit FNV-1a over arbitrary bytes. The hash behind every cache key and
-/// structural fingerprint in the compiler (core/cache, frontend/fingerprint).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view data);
+/// 64-bit FNV-1a over arbitrary bytes, continued from `h` (pass a previous
+/// result to hash a sequence of pieces). The hash behind every cache key and
+/// structural fingerprint (core/cache, frontend/fingerprint, the native
+/// JIT's module and unit caches).
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view data,
+                                    std::uint64_t h = 1469598103934665603ull);
 
 /// Split `s` on `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char sep);

@@ -30,11 +30,11 @@
 #include "frontend/parser.hpp"
 #include "frontend/printer.hpp"
 #include "frontend/progen.hpp"
-#include "interp/runtime.hpp"
 #include "obs/metrics.hpp"
-#include "pisa/switch.hpp"
+#include "obs/trace.hpp"
 #include "sema/depgraph.hpp"
-#include "sim/simulator.hpp"
+
+#include "interp_fingerprint.hpp"
 
 namespace lucid {
 namespace {
@@ -96,49 +96,6 @@ std::string diag_transcript(const Compilation& comp) {
            d.message + "\n";
   }
   return out;
-}
-
-/// Deterministic interpreter run fingerprint (register cells + counters);
-/// mirrors the helper in test_sweep.cpp.
-std::string interp_fingerprint(const ConstCompilationPtr& comp) {
-  sim::Simulator simulator;
-  pisa::SwitchConfig sc;
-  sc.id = 1;
-  pisa::Switch sw(simulator, sc);
-  sched::EventScheduler node(sw, {});
-  interp::Runtime runtime(comp, node);
-
-  int salt = 1;
-  for (const ir::EventInfo& ev : comp->ir().events) {
-    if (!ev.has_handler) continue;
-    for (int round = 0; round < 3; ++round) {
-      std::vector<interp::Value> args;
-      args.reserve(ev.params.size());
-      for (std::size_t p = 0; p < ev.params.size(); ++p) {
-        args.push_back((salt * 37 + static_cast<int>(p) * 11 + round) % 251);
-      }
-      runtime.inject(ev.name, std::move(args));
-      ++salt;
-    }
-  }
-  simulator.run_until(5 * sim::kMs);
-
-  std::string fp;
-  for (const ir::ArrayInfo& arr : comp->ir().arrays) {
-    const pisa::RegisterArray* ra = runtime.array(arr.name);
-    fp += arr.name + ":";
-    for (std::int64_t i = 0; i < ra->size(); ++i) {
-      fp += std::to_string(ra->get(i)) + ",";
-    }
-    fp += ";";
-  }
-  for (const auto& [ev, n] : runtime.stats().executions) {
-    fp += "x " + ev + "=" + std::to_string(n) + ";";
-  }
-  for (const auto& [ev, n] : runtime.stats().generated) {
-    fp += "g " + ev + "=" + std::to_string(n) + ";";
-  }
-  return fp;
 }
 
 /// A small program exercising every decl kind and a const -> fun -> handler
@@ -738,6 +695,64 @@ TEST(Recompile, JsonTimingExposesDeclsReused) {
   ASSERT_TRUE(driver.run_until(rec, Stage::Layout));
   const std::string json = rec->timing_report_json();
   EXPECT_NE(json.find("\"decls_reused\": 9"), std::string::npos) << json;
+}
+
+/// Complete spans in a Chrome trace named `name` in category `cat`.
+std::size_t count_spans(const std::string& trace, const std::string& cat,
+                        const std::string& name) {
+  const std::string key =
+      "\"name\": \"" + name + "\", \"cat\": \"" + cat + "\"";
+  std::size_t n = 0;
+  for (std::size_t at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Recompile, EveryStageRunsThroughTheStageRunner) {
+  // A partial recompile's Sema and Lower are ordinary stage runs: a traced
+  // cold compile plus a one-handler edit records two compiler spans per
+  // stage, and the registry's per-stage instruments see both runs and the
+  // edit's reuse.
+  obs::Registry& reg = obs::Registry::global();
+  const auto runs = [&](const char* stage) {
+    return reg.histogram("lucid_compiler_stage_ns", {{"stage", stage}})
+        .count();
+  };
+  const auto reused = [&](const char* stage) {
+    return reg
+        .counter("lucid_compiler_decls_reused_total", {{"stage", stage}})
+        .value();
+  };
+  const std::uint64_t sema_runs = runs("sema");
+  const std::uint64_t lower_runs = runs("lower");
+  const std::uint64_t sema_reused = reused("sema");
+  const std::uint64_t lower_reused = reused("lower");
+
+  const CompilerDriver driver({}, &test_registry());
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.disable();
+  tracer.clear();
+  tracer.enable();
+  const CompilationPtr prev = driver.run(kChain, Stage::Lower);
+  const CompilationPtr rec =
+      driver.recompile(prev, edit_first_handler(kChain));
+  tracer.disable();
+  const std::string trace = tracer.chrome_json();
+  tracer.clear();
+  ASSERT_TRUE(rec->succeeded(Stage::Lower)) << rec->diags().render();
+  ASSERT_GT(rec->record(Stage::Sema).decls_reused, 0);
+
+  for (const char* stage : {"parse", "sema", "lower"}) {
+    EXPECT_EQ(count_spans(trace, "compiler", stage), 2u) << stage;
+  }
+  EXPECT_EQ(runs("sema") - sema_runs, 2u);
+  EXPECT_EQ(runs("lower") - lower_runs, 2u);
+  EXPECT_EQ(reused("sema") - sema_reused,
+            static_cast<std::uint64_t>(rec->record(Stage::Sema).decls_reused));
+  EXPECT_EQ(reused("lower") - lower_reused,
+            static_cast<std::uint64_t>(rec->record(Stage::Lower).decls_reused));
 }
 
 // ---------------------------------------------------------------------------

@@ -30,9 +30,8 @@
 #include "frontend/incremental_parse.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/progen.hpp"
-#include "interp/runtime.hpp"
-#include "pisa/switch.hpp"
-#include "sim/simulator.hpp"
+
+#include "interp_fingerprint.hpp"
 
 namespace lucid {
 namespace {
@@ -65,49 +64,6 @@ std::string diag_transcript(const Compilation& comp) {
            d.message + "\n";
   }
   return out;
-}
-
-/// Deterministic interpreter run fingerprint (register cells + counters);
-/// mirrors the helper in test_incremental.cpp.
-std::string interp_fingerprint(const ConstCompilationPtr& comp) {
-  sim::Simulator simulator;
-  pisa::SwitchConfig sc;
-  sc.id = 1;
-  pisa::Switch sw(simulator, sc);
-  sched::EventScheduler node(sw, {});
-  interp::Runtime runtime(comp, node);
-
-  int salt = 1;
-  for (const ir::EventInfo& ev : comp->ir().events) {
-    if (!ev.has_handler) continue;
-    for (int round = 0; round < 3; ++round) {
-      std::vector<interp::Value> args;
-      args.reserve(ev.params.size());
-      for (std::size_t p = 0; p < ev.params.size(); ++p) {
-        args.push_back((salt * 37 + static_cast<int>(p) * 11 + round) % 251);
-      }
-      runtime.inject(ev.name, std::move(args));
-      ++salt;
-    }
-  }
-  simulator.run_until(5 * sim::kMs);
-
-  std::string fp;
-  for (const ir::ArrayInfo& arr : comp->ir().arrays) {
-    const pisa::RegisterArray* ra = runtime.array(arr.name);
-    fp += arr.name + ":";
-    for (std::int64_t i = 0; i < ra->size(); ++i) {
-      fp += std::to_string(ra->get(i)) + ",";
-    }
-    fp += ";";
-  }
-  for (const auto& [ev, n] : runtime.stats().executions) {
-    fp += "x " + ev + "=" + std::to_string(n) + ";";
-  }
-  for (const auto& [ev, n] : runtime.stats().generated) {
-    fp += "g " + ev + "=" + std::to_string(n) + ";";
-  }
-  return fp;
 }
 
 constexpr const char* kChain =

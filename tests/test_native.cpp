@@ -8,7 +8,7 @@
 // randomized traffic, pin run_batch_raw against one-packet batches on every
 // app, pin an injection registered in the past against the interpreter, and
 // pin the control-plane adapter (ctrl::FleetDataPlane) on a one-shard
-// fleet. The JIT tests pin the shell-free compile, its registry metrics, an
+// fleet, including control events against the interpreter's. The JIT tests pin the shell-free compile, its registry metrics, an
 // empty $TMPDIR afterwards, one compile for concurrent loads of one source,
 // and the incremental contract: a one-handler edit changes one unit's text
 // and compiles one unit.
@@ -35,6 +35,7 @@
 
 #include "apps/apps.hpp"
 #include "core/backends.hpp"
+#include "ctrl/interp_bridge.hpp"
 #include "ctrl/native_bridge.hpp"
 #include "frontend/progen.hpp"
 #include "native/differential.hpp"
@@ -309,6 +310,59 @@ TEST(NativeCtrl, FleetDataPlaneDrivesShardState) {
   EXPECT_EQ(dp.read(arr->name, -1), 5);
 }
 
+// A control event posted through ControlPlane takes the switch-CPU path on
+// both engines: it enters through the recirculation port at the post time
+// and is due `delay` later, so a not-yet-due event waits in the delay
+// queue. The handler's Sys.time() stamp and the recirculation count agree
+// between a Testbed node and a one-shard fleet at every delay.
+TEST(NativeCtrl, ControlEventsTakeTheSwitchCpuPathOnBothEngines) {
+  const std::string src =
+      "global t = new Array<<32>>(1);\n"
+      "event stamp();\n"
+      "handle stamp() { Array.set(t, 0, Sys.time()); }\n";
+  // Commits cost nothing, so the interpreter's pipeline is never stalled
+  // by the plane (the fleet's plane runs on a side switch).
+  ctrl::ControlPlaneConfig free_commits;
+  free_commits.batch_overhead_ns = 0;
+  free_commits.per_op_ns = 0;
+  const sim::Time post_at = 10 * sim::kUs;
+  for (const sim::Time delay : {sim::Time{0}, 3 * sim::kUs, 250 * sim::kUs}) {
+    SCOPED_TRACE(delay);
+    interp::Testbed tb(src);
+    ASSERT_TRUE(tb.ok()) << tb.diagnostics();
+    ctrl::RuntimeControl rc(tb.node(1), free_commits);
+    tb.sim().run_until(post_at);
+    rc.plane().post_event("stamp", {}, delay);
+    rc.plane().flush();
+    tb.sim().run_until(sim::kMs);
+
+    std::string err;
+    const auto prog = Program::build(tb.compilation_ptr(), &err);
+    ASSERT_NE(prog, nullptr) << err;
+    FleetConfig fcfg;  // one shard
+    fcfg.replica.switch_cfg.id = 1;
+    fcfg.label_metrics = false;
+    ReplicaFleet fleet(prog, fcfg);
+    ctrl::FleetDataPlane dp(fleet);
+    sim::Simulator side_sim;
+    pisa::Switch side_sw(side_sim, pisa::SwitchConfig{});
+    sched::EventScheduler side(side_sw, sched::SchedulerConfig{});
+    ctrl::ControlPlane plane(dp, side, free_commits);
+    fleet.run_until(post_at);
+    plane.post_event("stamp", {}, delay);
+    plane.flush();
+    fleet.run_until(sim::kMs);
+
+    const std::int64_t stamp = tb.node(1).array("t")->get(0);
+    EXPECT_GT(stamp, post_at + delay);
+    EXPECT_EQ(fleet.shard(0).registers()[0].cells(),
+              tb.node(1).registers()[0].cells());
+    EXPECT_GE(tb.switch_at(1).recirculations(), 1u);
+    EXPECT_EQ(fleet.merged_stats().recirculations,
+              tb.switch_at(1).recirculations());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Injection validation and bounded footprint
 // ---------------------------------------------------------------------------
@@ -395,9 +449,7 @@ TEST(NativeReplica, InjectionIntoThePastMatchesInterp) {
     const pisa::RegisterArray* cells =
         rt.array(prog->ir().arrays[a].name);
     ASSERT_NE(cells, nullptr);
-    EXPECT_EQ(rep.array_cells(a),
-              std::vector<std::int64_t>(cells->data(),
-                                        cells->data() + cells->size()))
+    EXPECT_EQ(rep.array_cells(a), cells->cells())
         << prog->ir().arrays[a].name;
   }
 }

@@ -1,9 +1,12 @@
-// PISA hardware model tests: register arrays, port serialization and
-// saturation, recirculation accounting, the pausable delay queue, PFC
-// stream, multicast engine, and the management-CPU latency model.
+// PISA hardware model tests: register arrays and files, port serialization
+// and saturation, recirculation accounting, the pausable delay queue, PFC
+// stream, the generate serializer's multicast clones, and the
+// management-CPU latency model.
 #include <gtest/gtest.h>
 
+#include "pisa/register_array.hpp"
 #include "pisa/switch.hpp"
+#include "sched/scheduler.hpp"
 
 namespace lucid::pisa {
 namespace {
@@ -69,15 +72,24 @@ Switch make_switch(sim::Simulator& sim, int id = 1) {
   return Switch(sim, cfg);
 }
 
-TEST(Switch, ArraysAreNamedAndTyped) {
-  sim::Simulator sim;
-  Switch sw = make_switch(sim);
-  sw.add_array("tbl", 16, 32);
-  RegisterArray* r = sw.find_array("tbl");
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->width(), 16);
-  EXPECT_EQ(r->size(), 32);
-  EXPECT_EQ(sw.find_array("missing"), nullptr);
+TEST(RegisterFile, FollowsDeclarationOrderAndTypes) {
+  struct Decl {
+    std::string name;
+    int width;
+    std::int64_t size;
+  };
+  const std::vector<Decl> decls = {{"tbl", 16, 32}, {"cnt", 8, 4}};
+  RegisterFile file = make_register_file(decls);
+  ASSERT_EQ(file.size(), 2u);
+  EXPECT_EQ(file[0].name(), "tbl");
+  EXPECT_EQ(file[0].width(), 16);
+  EXPECT_EQ(file[0].size(), 32);
+  EXPECT_EQ(file[1].name(), "cnt");
+  EXPECT_EQ(file[1].cells(), std::vector<std::int64_t>(4, 0));
+  const std::vector<std::int64_t*> ptrs = cell_pointers(file);
+  ASSERT_EQ(ptrs.size(), 2u);
+  ptrs[1][2] = 9;  // the module ABI writes through these
+  EXPECT_EQ(file[1].get(2), 9);
 }
 
 TEST(Switch, InjectReachesIngressAfterPipelineLatency) {
@@ -142,21 +154,21 @@ TEST(Switch, PfcStreamOpensAndClosesQueue) {
   sw.stop_pfc_stream();
 }
 
-TEST(Switch, MulticastClonesPerMember) {
-  sim::Simulator sim;
-  Switch sw = make_switch(sim);
-  Packet p;
-  p.multicast = true;
-  p.mcast_members = {2, 3, 5};
-  p.args = {42};
-  std::vector<std::int64_t> members;
-  sw.multicast(p, [&](std::int64_t m, Packet clone) {
-    members.push_back(m);
-    EXPECT_EQ(clone.location, m);
-    EXPECT_FALSE(clone.multicast);
-    EXPECT_EQ(clone.args, p.args);
-  });
-  EXPECT_EQ(members, (std::vector<std::int64_t>{2, 3, 5}));
+TEST(Serializer, MulticastClonesPerMemberAndUnicastRoutesByLocation) {
+  std::vector<std::pair<std::int64_t, bool>> sent;
+  const auto send = [&](std::int64_t location, bool recirculate) {
+    sent.emplace_back(location, recirculate);
+  };
+  const std::vector<std::int64_t> members = {2, 3, 5};
+  sched::serialize_generate(-1, members, /*self=*/3, send);
+  EXPECT_EQ(sent, (std::vector<std::pair<std::int64_t, bool>>{
+                      {2, false}, {3, true}, {5, false}}));
+  sent.clear();
+  sched::serialize_generate(7, {}, 3, send);  // remote: routed out
+  sched::serialize_generate(3, {}, 3, send);  // addressed to self: local
+  sched::serialize_generate(-1, {}, 3, send);  // unlocated: local
+  EXPECT_EQ(sent, (std::vector<std::pair<std::int64_t, bool>>{
+                      {7, false}, {-1, true}, {-1, true}}));
 }
 
 TEST(Cpu, InstallLatencyMatchesMantisEnvelope) {

@@ -23,11 +23,10 @@
 #include "core/backends.hpp"
 #include "core/cache.hpp"
 #include "core/sweep.hpp"
-#include "interp/runtime.hpp"
 #include "obs/metrics.hpp"
-#include "pisa/switch.hpp"
-#include "sim/simulator.hpp"
 #include "support/parallel.hpp"
+
+#include "interp_fingerprint.hpp"
 
 namespace lucid {
 namespace {
@@ -141,50 +140,6 @@ TEST(Differential, ClonedCompileProducesByteIdenticalArtifacts) {
     }
     EXPECT_EQ(diag_transcript(*cold), diag_transcript(*cached));
   }
-}
-
-/// Builds a fresh simulated switch for `comp`, injects a deterministic event
-/// schedule, and fingerprints the observable state: every register-array
-/// cell plus the execution/generation counters.
-std::string interp_fingerprint(const ConstCompilationPtr& comp) {
-  sim::Simulator simulator;
-  pisa::SwitchConfig sc;
-  sc.id = 1;
-  pisa::Switch sw(simulator, sc);
-  sched::EventScheduler node(sw, {});
-  interp::Runtime runtime(comp, node);
-
-  int salt = 1;
-  for (const ir::EventInfo& ev : comp->ir().events) {
-    if (!ev.has_handler) continue;
-    for (int round = 0; round < 3; ++round) {
-      std::vector<interp::Value> args;
-      args.reserve(ev.params.size());
-      for (std::size_t p = 0; p < ev.params.size(); ++p) {
-        args.push_back((salt * 37 + static_cast<int>(p) * 11 + round) % 251);
-      }
-      runtime.inject(ev.name, std::move(args));
-      ++salt;
-    }
-  }
-  simulator.run_until(5 * sim::kMs);
-
-  std::string fp;
-  for (const ir::ArrayInfo& arr : comp->ir().arrays) {
-    const pisa::RegisterArray* ra = runtime.array(arr.name);
-    fp += arr.name + ":";
-    for (std::int64_t i = 0; i < ra->size(); ++i) {
-      fp += std::to_string(ra->get(i)) + ",";
-    }
-    fp += ";";
-  }
-  for (const auto& [ev, n] : runtime.stats().executions) {
-    fp += "x " + ev + "=" + std::to_string(n) + ";";
-  }
-  for (const auto& [ev, n] : runtime.stats().generated) {
-    fp += "g " + ev + "=" + std::to_string(n) + ";";
-  }
-  return fp;
 }
 
 TEST(Differential, LayoutAnalysisIsSharedByAddressAcrossVariants) {
