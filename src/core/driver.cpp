@@ -33,26 +33,14 @@ obs::Counter& layout_restarts_counter() {
 /// Publishes one stage run to the registry: its wall time and the decls it
 /// took from a previous compilation (run_stage and emit call it).
 void publish_stage(Stage s, double wall_ms, int decls_reused) {
-  struct Instruments {
-    obs::Histogram* ns = nullptr;
-    obs::Counter* reused = nullptr;
-  };
-  static const std::array<Instruments, kNumStages> table = [] {
-    std::array<Instruments, kNumStages> t;
-    auto& reg = obs::Registry::global();
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const obs::Labels labels{{"stage", std::string(kStageNames[i])}};
-      t[i].ns = &reg.histogram("lucid_compiler_stage_ns", labels,
-                               "Wall time of one compiler stage run (ns)");
-      t[i].reused = &reg.counter(
-          "lucid_compiler_decls_reused_total", labels,
-          "Decls a compiler stage took from a previous compilation");
-    }
-    return t;
-  }();
-  const Instruments& in = table[static_cast<std::size_t>(s)];
-  in.ns->observe(static_cast<std::uint64_t>(wall_ms * 1e6));
-  in.reused->add(static_cast<std::uint64_t>(decls_reused));
+  auto& reg = obs::Registry::global();
+  const obs::Labels labels{{"stage", std::string(stage_name(s))}};
+  reg.histogram("lucid_compiler_stage_ns", labels,
+                "Wall time of one compiler stage run (ns)")
+      .observe(static_cast<std::uint64_t>(wall_ms * 1e6));
+  reg.counter("lucid_compiler_decls_reused_total", labels,
+              "Decls a compiler stage took from a previous compilation")
+      .add(static_cast<std::uint64_t>(decls_reused));
 }
 
 }  // namespace

@@ -93,28 +93,21 @@ Runtime::Runtime(ConstCompilationPtr comp, sched::EventScheduler& node)
 
 bool Runtime::inject(const std::string& event, std::vector<Value> args,
                      sim::Time delay_ns, std::int64_t location) {
-  sched::GenEvent ev;
-  if (!admit(event, std::move(args), delay_ns, &ev)) return false;
-  ev.location = location;
-  node_.inject(std::move(ev));
+  const ir::EventInfo* ev = comp_->ir().admit_event(event, args);
+  if (ev == nullptr) return false;
+  node_.inject({.event_id = ev->event_id,
+                .args = std::move(args),
+                .delay_ns = delay_ns,
+                .location = location});
   return true;
 }
 
 bool Runtime::inject_control(const std::string& event,
                              std::vector<Value> args, sim::Time delay_ns) {
-  sched::GenEvent ev;
-  if (!admit(event, std::move(args), delay_ns, &ev)) return false;
-  node_.inject_control(std::move(ev));
-  return true;
-}
-
-bool Runtime::admit(const std::string& event, std::vector<Value> args,
-                    sim::Time delay_ns, sched::GenEvent* out) const {
   const ir::EventInfo* ev = comp_->ir().admit_event(event, args);
   if (ev == nullptr) return false;
-  out->event_id = ev->event_id;
-  out->args = std::move(args);
-  out->delay_ns = delay_ns;
+  node_.inject_control(
+      {.event_id = ev->event_id, .args = std::move(args), .delay_ns = delay_ns});
   return true;
 }
 

@@ -142,10 +142,6 @@ class Runtime {
 
   [[nodiscard]] Value memop_apply(const std::string& name, Value cell,
                                   Value arg) const;
-  /// An injected event as the scheduler takes it, when
-  /// ir::ProgramIR::admit_event admits it (arguments width-masked).
-  bool admit(const std::string& event, std::vector<Value> args,
-             sim::Time delay_ns, sched::GenEvent* out) const;
 
   ConstCompilationPtr comp_;
   sched::EventScheduler& node_;

@@ -144,9 +144,6 @@ class Replica {
   /// accessors below forward to it. Mutable access (the control plane's) is
   /// only legal while the replica is quiescent (no run_until in flight).
   [[nodiscard]] pisa::RegisterFile& registers() { return registers_; }
-  [[nodiscard]] const pisa::RegisterFile& registers() const {
-    return registers_;
-  }
   [[nodiscard]] const std::vector<std::int64_t>& array_cells(
       std::size_t decl_index) const {
     return registers_[decl_index].cells();

@@ -98,7 +98,7 @@ struct RunStats {
 /// native::Replica) bump on their hot path.
 class RunCounters {
  public:
-  explicit RunCounters(std::size_t events = 0)
+  explicit RunCounters(std::size_t events)
       : execs_(events, 0), gens_(events, 0) {}
 
   /// A handler execution of event `id` (a declared event).
@@ -142,7 +142,7 @@ struct GenEvent {
   sim::Time delay_ns = 0;
   std::int64_t location = -1;  // -1 = local
   bool multicast = false;
-  std::vector<std::int64_t> members;
+  std::vector<std::int64_t> members{};
 };
 
 class EventScheduler {

@@ -33,6 +33,8 @@ KNOWN_PHASES = {"X", "i", "B", "E", "M", "C", "b", "e", "n", "s", "t", "f"}
 # Families whose type is fixed: a file that carries one must declare it with
 # this TYPE.
 KNOWN_TYPES = {
+    "lucid_compiler_decls_reused_total": "counter",
+    "lucid_compiler_stage_ns": "histogram",
     "lucid_layout_restarts_total": "counter",
 }
 
