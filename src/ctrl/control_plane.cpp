@@ -5,24 +5,6 @@
 
 namespace lucid::ctrl {
 
-bool RegisterDataPlane::write(const std::string& array, std::int64_t index,
-                              Value value) {
-  const auto it = ir_.array_index.find(array);
-  if (it == ir_.array_index.end()) return false;
-  for (pisa::RegisterFile* file : files_) {
-    (*file)[static_cast<std::size_t>(it->second)].set(index, value);
-  }
-  return true;
-}
-
-const pisa::RegisterArray* RegisterDataPlane::find(
-    const std::string& name) const {
-  const auto it = ir_.array_index.find(name);
-  return it == ir_.array_index.end()
-             ? nullptr
-             : &(*files_.front())[static_cast<std::size_t>(it->second)];
-}
-
 ControlPlane::ControlPlane(DataPlane& dp, sched::EventScheduler& sched,
                            ControlPlaneConfig cfg)
     : dp_(dp),

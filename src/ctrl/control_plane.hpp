@@ -79,19 +79,26 @@ class DataPlane {
 class RegisterDataPlane : public DataPlane {
  public:
   [[nodiscard]] bool has_array(const std::string& name) const override {
-    return find(name) != nullptr;
+    return slot(name) >= 0;
   }
   [[nodiscard]] std::int64_t array_size(
       const std::string& name) const override {
-    const pisa::RegisterArray* a = find(name);
-    return a == nullptr ? -1 : a->size();
+    const int s = slot(name);
+    return s < 0 ? -1 : first(s).size();
   }
   bool write(const std::string& array, std::int64_t index,
-             Value value) override;
+             Value value) override {
+    const int s = slot(array);
+    if (s < 0) return false;
+    for (pisa::RegisterFile* file : files_) {
+      (*file)[static_cast<std::size_t>(s)].set(index, value);
+    }
+    return true;
+  }
   [[nodiscard]] Value read(const std::string& array,
                            std::int64_t index) const override {
-    const pisa::RegisterArray* a = find(array);
-    return a == nullptr ? 0 : a->get(index);
+    const int s = slot(array);
+    return s < 0 ? 0 : first(s).get(index);
   }
   /// Whether ir::ProgramIR::admit_event admits `arity` arguments.
   [[nodiscard]] bool can_inject(const std::string& event,
@@ -107,8 +114,14 @@ class RegisterDataPlane : public DataPlane {
       : ir_(ir), files_(std::move(files)) {}
 
  private:
-  /// The array `name` in the first file, nullptr when undeclared.
-  [[nodiscard]] const pisa::RegisterArray* find(const std::string& name) const;
+  /// The declaration index of array `name`, -1 when undeclared.
+  [[nodiscard]] int slot(const std::string& name) const {
+    const auto it = ir_.array_index.find(name);
+    return it == ir_.array_index.end() ? -1 : it->second;
+  }
+  [[nodiscard]] const pisa::RegisterArray& first(int slot) const {
+    return (*files_.front())[static_cast<std::size_t>(slot)];
+  }
 
   const ir::ProgramIR& ir_;
   std::vector<pisa::RegisterFile*> files_;

@@ -106,8 +106,9 @@ bool Runtime::inject_control(const std::string& event,
                              std::vector<Value> args, sim::Time delay_ns) {
   const ir::EventInfo* ev = comp_->ir().admit_event(event, args);
   if (ev == nullptr) return false;
-  node_.inject_control(
-      {.event_id = ev->event_id, .args = std::move(args), .delay_ns = delay_ns});
+  node_.inject_control({.event_id = ev->event_id,
+                        .args = std::move(args),
+                        .delay_ns = delay_ns});
   return true;
 }
 

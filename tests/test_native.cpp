@@ -8,10 +8,11 @@
 // randomized traffic, pin run_batch_raw against one-packet batches on every
 // app, pin an injection registered in the past against the interpreter, and
 // pin the control-plane adapter (ctrl::FleetDataPlane) on a one-shard
-// fleet, including control events against the interpreter's. The JIT tests pin the shell-free compile, its registry metrics, an
-// empty $TMPDIR afterwards, one compile for concurrent loads of one source,
-// and the incremental contract: a one-handler edit changes one unit's text
-// and compiles one unit.
+// fleet, including control events against the interpreter's. The JIT tests
+// pin the shell-free compile, its registry metrics, an empty $TMPDIR
+// afterwards, one compile for concurrent loads of one source, and the
+// incremental contract: a one-handler edit changes one unit's text and
+// compiles one unit.
 //
 // The sharded fleet extends the contract per shard (see tests/README.md):
 // each ReplicaFleet shard must be byte-identical to a single-threaded
