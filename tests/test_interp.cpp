@@ -1,13 +1,16 @@
 // Interpreter semantics tests: array ops, memops, event generation,
 // recursion via events, combinators, functions with array parameters,
-// width masking, and the hash builtin.
+// width masking, the hash builtin, and the multi-node counts of the
+// Figure 15 testbed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 
+#include "apps/apps.hpp"
 #include "interp/testbed.hpp"
 #include "support/bits.hpp"
+#include "workload/workload.hpp"
 
 namespace lucid::interp {
 namespace {
@@ -371,6 +374,85 @@ TEST(Interp, MaskWidthEdgesThroughArrays) {
   // bit: 1 + 0xFFFFFFFC stored mod 2 = 1; bytes: 3 + 0xFC = 0xFF mod 256.
   EXPECT_EQ(tb.node(1).array("bit")->get(0), 1);
   EXPECT_EQ(tb.node(1).array("bytes")->get(0), 0xFF);
+}
+
+// The multi-node record path, pinned: bench_fig15_recirc_uses's 20 ms run of
+// every paper app on a 4-switch full mesh (ids 1, 2, 3, 9), replayed here
+// with the same injections. Generates cross the fabric (net::Network) and
+// multicast clones fan out per member, so any change to how an event packet
+// is built, copied or carried shows up in these counts. The differential
+// suite (tests/test_native.cpp) is single-node only.
+TEST(Interp, Fig15MultiNodeCountsArePinned) {
+  struct Expect {
+    const char* app;
+    std::uint64_t recirculations, forwarded, delivered, dropped;
+    std::uint64_t executions[4];  // at switches 1, 2, 3, 9
+  };
+  const Expect table[] = {
+      {"SFW", 1799, 0, 0, 0, {120, 0, 0, 0}},
+      {"RR", 3598, 8, 8, 0, {8, 2, 2, 0}},
+      {"DNS", 1799, 0, 0, 0, {70, 0, 0, 0}},
+      {"StarFlow", 40, 20, 20, 0, {120, 0, 0, 20}},
+      {"SRO", 0, 80, 80, 0, {60, 20, 20, 0}},
+      {"DFW", 0, 40, 40, 0, {20, 20, 20, 0}},
+      {"DFWA", 1799, 40, 40, 0, {40, 20, 20, 0}},
+      {"RIP", 1799, 2, 2, 0, {2, 1, 1, 0}},
+      {"NAT", 0, 0, 0, 0, {20, 0, 0, 0}},
+      {"CM", 1799, 0, 0, 0, {70, 0, 0, 0}},
+  };
+  const int ids[] = {1, 2, 3, 9};
+  for (const Expect& want : table) {
+    SCOPED_TRACE(want.app);
+    const apps::AppSpec& spec = apps::app(want.app);
+    TestbedConfig cfg;
+    cfg.switch_ids = {1, 2, 3, 9};
+    Testbed tb(spec.source, cfg);
+    ASSERT_TRUE(tb.ok()) << tb.diagnostics();
+    Runtime& n1 = tb.node(1);
+    const std::string key = spec.key;
+    if (key == "SFW") {
+      n1.inject("scan1", {0});
+      for (const auto& f : workload::distinct_flows(100, 200, 3)) {
+        n1.inject("pkt_out", {f.src, f.dst});
+      }
+    } else if (key == "RR") {
+      n1.inject("probe_timer", {0});
+      n1.inject("check_route", {0});
+    } else if (key == "DNS") {
+      n1.inject("decay_step", {0});
+      for (int i = 0; i < 50; ++i) n1.inject("dns_req", {7, 8, i});
+    } else if (key == "StarFlow") {
+      for (int f = 0; f < 20; ++f) {
+        for (int s = 0; s < 4; ++s) n1.inject("pkt", {f + 100, s});
+      }
+    } else if (key == "SRO") {
+      for (int i = 0; i < 20; ++i) n1.inject("write", {i, i * 7});
+    } else if (key == "DFW" || key == "DFWA") {
+      for (int i = 0; i < 20; ++i) n1.inject("pkt_out", {i + 1, i + 50});
+      if (key == "DFWA") n1.inject("age_step", {0});
+    } else if (key == "RIP") {
+      n1.inject("boot", {0});
+      n1.inject("adv_timer", {0});
+    } else if (key == "NAT") {
+      for (int i = 0; i < 20; ++i) n1.inject("pkt_out", {i, 5000 + i});
+    } else if (key == "CM") {
+      for (int i = 0; i < 50; ++i) n1.inject("pkt", {i % 9});
+      n1.inject("export_step", {0});
+    }
+    tb.settle(20 * sim::kMs);
+    std::uint64_t recirculations = 0;
+    std::uint64_t forwarded = 0;
+    for (std::size_t k = 0; k < 4; ++k) {
+      recirculations += tb.switch_at(ids[k]).recirculations();
+      forwarded += tb.sched_at(ids[k]).stats().forwarded;
+      EXPECT_EQ(tb.node(ids[k]).stats().total_executions, want.executions[k])
+          << "switch " << ids[k];
+    }
+    EXPECT_EQ(recirculations, want.recirculations);
+    EXPECT_EQ(forwarded, want.forwarded);
+    EXPECT_EQ(tb.network().delivered(), want.delivered);
+    EXPECT_EQ(tb.network().dropped(), want.dropped);
+  }
 }
 
 }  // namespace
