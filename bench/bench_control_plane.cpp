@@ -116,7 +116,7 @@ ChurnResult churn_phase(bool churn) {
   latency.reserve(kEvents);
   tb.node(1).set_trace([&](const std::string& ev, const pisa::Packet& p) {
     if (ev == "ping") {
-      latency.push_back(static_cast<double>(tb.sim().now() - p.created_ns));
+      latency.push_back(static_cast<double>(tb.sim().now() - p.created));
     }
   });
   for (int i = 0; i < kEvents; ++i) {

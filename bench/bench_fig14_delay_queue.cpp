@@ -33,11 +33,10 @@ RunResult run(sched::DelayMode mode, int concurrent_events,
   scheduler.set_execute([](const pisa::Packet&) {});
 
   // Bandwidth phase: events delayed "indefinitely".
+  pisa::Packet ev;
+  ev.event_id = 0;
   for (int i = 0; i < concurrent_events; ++i) {
-    sched::GenEvent ev;
-    ev.event_id = 0;
-    ev.delay_ns = 100 * sim::kSec;
-    scheduler.inject(ev);
+    scheduler.inject(ev, 100 * sim::kSec);
   }
   const sim::Time t0 = 1 * sim::kMs;  // warm-up before measuring
   simulator.run_until(t0);
@@ -59,11 +58,8 @@ RunResult run(sched::DelayMode mode, int concurrent_events,
   sched2.set_execute([](const pisa::Packet&) {});
   sim::Rng jitter(static_cast<std::uint64_t>(concurrent_events) * 31 + 7);
   for (int i = 0; i < concurrent_events; ++i) {
-    sched::GenEvent ev;
-    ev.event_id = 0;
-    ev.delay_ns = requested_delay +
-                  jitter.uniform(0, cfg.release_interval_ns - 1);
-    sched2.inject(ev);
+    sched2.inject(ev, requested_delay +
+                          jitter.uniform(0, cfg.release_interval_ns - 1));
   }
   sim2.run_until(requested_delay + 10 * sim::kMs);
   double sum = 0;

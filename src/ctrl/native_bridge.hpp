@@ -24,6 +24,12 @@ namespace lucid::ctrl {
 /// shard their flow routes to (ReplicaFleet::inject_control), like the
 /// interpreter's.
 ///
+/// Known gap, kept on purpose: ControlPlane::apply_one stalls its
+/// scheduler's switch, here the side scheduler's, so a shard's data path
+/// never waits out a commit. Stalling the shards would change fleet timing,
+/// and bench_e2e's churn check replays each shard on a stall-free Replica;
+/// the single timing core (ROADMAP) is where stall_pipeline moves.
+///
 /// Thread discipline: the ControlPlane applies batches at its scheduler's
 /// apply points, and fleet shard state may only be touched while no
 /// ReplicaFleet::run_until is in flight — drive the control scheduler and

@@ -3,6 +3,8 @@
 #include <memory>
 #include <sstream>
 
+#include "interp/runtime.hpp"
+
 namespace lucid::interp {
 
 namespace {
@@ -43,6 +45,7 @@ class InterpBackend final : public Backend {
         bindable = false;
       }
     }
+    if (!check_arity(comp)) bindable = false;
     artifact.metrics["events"] = static_cast<std::int64_t>(ir.events.size());
     artifact.metrics["arrays"] = static_cast<std::int64_t>(ir.arrays.size());
     artifact.metrics["handlers"] =

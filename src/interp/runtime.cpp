@@ -63,6 +63,17 @@ Value binop_eval(BinOp op, Value l, Value r) {
 
 }  // namespace
 
+bool check_arity(Compilation& comp) {
+  const ir::EventInfo* ev = comp.ir().unfit_event();
+  if (ev == nullptr) return true;
+  comp.diags().error({}, "interp-too-many-params",
+                     "event " + ev->name + " has " +
+                         std::to_string(ev->params.size()) +
+                         " params; an event packet carries at most " +
+                         std::to_string(pisa::kMaxArgs));
+  return false;
+}
+
 Runtime::Runtime(ConstCompilationPtr comp, sched::EventScheduler& node)
     : comp_(std::move(comp)),
       node_(node),
@@ -88,27 +99,28 @@ Runtime::Runtime(ConstCompilationPtr comp, sched::EventScheduler& node)
   for (const auto& mo : comp_->ir().memops) {
     memops_by_name_.emplace(mo.name, &mo);
   }
+  const auto& groups = comp_->ir().groups;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    groups_by_name_.emplace(groups[g].name, static_cast<std::int32_t>(g));
+  }
   node_.set_execute([this](const pisa::Packet& p) { execute(p); });
 }
 
-bool Runtime::inject(const std::string& event, std::vector<Value> args,
+bool Runtime::inject(const std::string& event, const std::vector<Value>& args,
                      sim::Time delay_ns, std::int64_t location) {
-  const ir::EventInfo* ev = comp_->ir().admit_event(event, args);
-  if (ev == nullptr) return false;
-  node_.inject({.event_id = ev->event_id,
-                .args = std::move(args),
-                .delay_ns = delay_ns,
-                .location = location});
+  pisa::Packet p;
+  if (!comp_->ir().admit_event(event, args, &p)) return false;
+  p.location = location;
+  node_.inject(p, delay_ns);
   return true;
 }
 
 bool Runtime::inject_control(const std::string& event,
-                             std::vector<Value> args, sim::Time delay_ns) {
-  const ir::EventInfo* ev = comp_->ir().admit_event(event, args);
-  if (ev == nullptr) return false;
-  node_.inject_control({.event_id = ev->event_id,
-                        .args = std::move(args),
-                        .delay_ns = delay_ns});
+                             const std::vector<Value>& args,
+                             sim::Time delay_ns) {
+  pisa::Packet p;
+  if (!comp_->ir().admit_event(event, args, &p)) return false;
+  node_.inject_control(p, delay_ns);
   return true;
 }
 
@@ -134,39 +146,47 @@ Value Runtime::memop_apply(const std::string& name, Value cell,
   return out;
 }
 
-pisa::RegisterArray* Runtime::resolve_array(const std::string& name) {
-  std::string actual = name;
-  // Follow (possibly nested) function-parameter aliases.
-  for (int depth = 0; depth < 8; ++depth) {
-    const auto it = array_alias_.find(actual);
-    if (it == array_alias_.end()) break;
-    actual = it->second;
-  }
-  return array(actual);
+std::int32_t Runtime::array_arg(const Frame& frame, const Expr& e) const {
+  const std::string& name = e.as<VarRefExpr>()->name;
+  const Val* bound = frame.find(name);
+  if (bound != nullptr && bound->arr >= 0) return bound->arr;
+  const auto it = comp_->ir().array_index.find(name);
+  return it == comp_->ir().array_index.end() ? -1 : it->second;
 }
 
 void Runtime::execute(const pisa::Packet& p) {
-  const HandlerDecl* h_ptr =
+  const HandlerDecl* h =
       p.event_id >= 0 &&
               static_cast<std::size_t>(p.event_id) < handlers_by_id_.size()
           ? handlers_by_id_[static_cast<std::size_t>(p.event_id)]
           : nullptr;
-  if (h_ptr == nullptr) return;
-  const HandlerDecl& h = *h_ptr;
+  if (h == nullptr) return;
   counters_.executed(static_cast<std::size_t>(p.event_id));
-  if (trace_) trace_(h.name, p);
+  if (trace_) trace_(h->name, p);
   // Sampled span around handler execution (one relaxed load when tracing is
   // off). The span only reads the wall clock and writes the tracer's own
   // rings — no effect on register state or event order (tests/test_obs.cpp).
-  obs::ScopedSpan span("interp", h.name);
+  obs::ScopedSpan span("interp", h->name);
+  run_handler(*h, pisa::packet_in(p, node_.node().sim().now(), node_.self()));
+  // The generates leave after the handler, in the order it wrote them.
+  // Nothing touches the simulator during a handler, so this allocates the
+  // same seq order as dispatching each at its generate statement.
+  for (const pisa::GenOut& g : gens_) {
+    node_.generate(g, comp_->ir().members(g), counters_);
+  }
+}
 
+void Runtime::run_handler(const HandlerDecl& h, const pisa::PacketIn& in) {
+  in_ = in;
+  gens_.clear();
+  events_.clear();
   Frame frame;
   for (std::size_t i = 0; i < h.params.size(); ++i) {
     Val v;
-    v.i = i < p.args.size()
-              ? mask_width(p.args[i], h.params[i].type.width)
+    v.i = static_cast<std::int32_t>(i) < in.nargs
+              ? mask_width(in.args[i], h.params[i].type.width)
               : 0;
-    frame.slot(h.params[i].name) = std::move(v);
+    frame.slot(h.params[i].name) = v;
   }
   Val ret;
   (void)exec_block(frame, h.body, &ret);
@@ -191,13 +211,13 @@ bool Runtime::exec_stmt(Frame& frame, const Stmt& s, Val* ret) {
       if (!v.is_event() && d->declared_type.is_int()) {
         v.i = mask_width(v.i, d->declared_type.width);
       }
-      frame.slot(d->name) = std::move(v);
+      frame.slot(d->name) = v;
       return false;
     }
     case StmtKind::Assign: {
+      // C++17 evaluates the right operand first: eval runs before slot.
       const auto* a = s.as<AssignStmt>();
-      Val v = eval(frame, *a->value);
-      frame.slot(a->name) = std::move(v);
+      frame.slot(a->name) = eval(frame, *a->value);
       return false;
     }
     case StmtKind::If: {
@@ -213,10 +233,8 @@ bool Runtime::exec_stmt(Frame& frame, const Stmt& s, Val* ret) {
       const auto* g = s.as<GenerateStmt>();
       const Val v = eval(frame, *g->event);
       if (!v.is_event()) return false;
-      sched::GenEvent ev = *v.ev;
-      ev.multicast = ev.multicast || g->multicast;
-      counters_.generated(ev.event_id);
-      node_.generate(std::move(ev));
+      gens_.push_back(events_[static_cast<std::size_t>(v.ev)]);
+      if (g->multicast) gens_.back().multicast = 1;
       return false;
     }
     case StmtKind::Return:
@@ -234,29 +252,16 @@ bool Runtime::exec_stmt(Frame& frame, const Stmt& s, Val* ret) {
 
 Runtime::Val Runtime::eval(Frame& frame, const Expr& e) {
   switch (e.kind) {
-    case ExprKind::IntLit: {
-      Val v;
-      v.i = static_cast<Value>(e.as<IntLitExpr>()->value);
-      return v;
-    }
-    case ExprKind::BoolLit: {
-      Val v;
-      v.i = e.as<BoolLitExpr>()->value ? 1 : 0;
-      return v;
-    }
+    case ExprKind::IntLit:
+      return Val{.i = static_cast<Value>(e.as<IntLitExpr>()->value)};
+    case ExprKind::BoolLit:
+      return Val{.i = e.as<BoolLitExpr>()->value ? 1 : 0};
     case ExprKind::VarRef: {
       const auto* r = e.as<VarRefExpr>();
-      Val v;
-      if (r->is_const) {
-        v.i = r->const_value;
-        return v;
-      }
-      if (r->name == "SELF") {
-        v.i = node_.self();
-        return v;
-      }
+      if (r->is_const) return Val{.i = r->const_value};
+      if (r->name == "SELF") return Val{.i = in_.self_id};
       if (const Val* found = frame.find(r->name)) return *found;
-      return v;
+      return {};
     }
     case ExprKind::Unary: {
       const auto* u = e.as<UnaryExpr>();
@@ -285,10 +290,8 @@ Runtime::Val Runtime::eval(Frame& frame, const Expr& e) {
       }
       const Val l = eval(frame, *b->lhs);
       const Val r = eval(frame, *b->rhs);
-      Val out;
-      out.i = binop_eval(b->op, l.i, r.i);
-      if (e.type.is_int()) out.i = mask_width(out.i, e.type.width);
-      return out;
+      const Value out = binop_eval(b->op, l.i, r.i);
+      return Val{.i = e.type.is_int() ? mask_width(out, e.type.width) : out};
     }
     case ExprKind::Call:
       return eval_call(frame, *e.as<CallExpr>());
@@ -302,24 +305,16 @@ Runtime::Val Runtime::eval_call(Frame& frame, const CallExpr& c) {
   switch (c.resolved) {
     case CallKind::ArrayGet:
     case CallKind::ArrayGetm: {
-      const auto& arr_name = c.args[0]->as<VarRefExpr>()->name;
-      pisa::RegisterArray* arr = resolve_array(arr_name);
-      Val out;
-      if (arr == nullptr) return out;
-      const Value idx = int_arg(1);
-      const Value cell = arr->get(idx);
-      if (c.args.size() == 4) {
-        out.i = arr->mask(memop_apply(c.args[2]->as<VarRefExpr>()->name,
-                                      cell, int_arg(3)));
-      } else {
-        out.i = cell;
-      }
-      return out;
+      pisa::RegisterArray* arr = register_at(array_arg(frame, *c.args[0]));
+      if (arr == nullptr) return {};
+      const Value cell = arr->get(int_arg(1));
+      if (c.args.size() != 4) return Val{.i = cell};
+      return Val{.i = arr->mask(memop_apply(
+                     c.args[2]->as<VarRefExpr>()->name, cell, int_arg(3)))};
     }
     case CallKind::ArraySet:
     case CallKind::ArraySetm: {
-      const auto& arr_name = c.args[0]->as<VarRefExpr>()->name;
-      pisa::RegisterArray* arr = resolve_array(arr_name);
+      pisa::RegisterArray* arr = register_at(array_arg(frame, *c.args[0]));
       if (arr == nullptr) return {};
       const Value idx = int_arg(1);
       if (c.args.size() == 3) {
@@ -332,39 +327,29 @@ Runtime::Val Runtime::eval_call(Frame& frame, const CallExpr& c) {
       return {};
     }
     case CallKind::ArrayUpdate: {
-      const auto& arr_name = c.args[0]->as<VarRefExpr>()->name;
-      pisa::RegisterArray* arr = resolve_array(arr_name);
-      Val out;
-      if (arr == nullptr) return out;
+      pisa::RegisterArray* arr = register_at(array_arg(frame, *c.args[0]));
+      if (arr == nullptr) return {};
       const Value idx = int_arg(1);
       const Value old = arr->get(idx);
       const Value garg = int_arg(3);
       const Value sarg = int_arg(5);
-      out.i = arr->mask(
+      const Value got = arr->mask(
           memop_apply(c.args[2]->as<VarRefExpr>()->name, old, garg));
       arr->set(idx, memop_apply(c.args[4]->as<VarRefExpr>()->name, old,
                                 sarg));
-      return out;
+      return Val{.i = got};
     }
     case CallKind::Hash: {
       std::vector<Value> args;
       for (std::size_t i = 1; i < c.args.size(); ++i) {
         args.push_back(int_arg(i));
       }
-      Val out;
-      out.i = static_cast<Value>(hash32(int_arg(0), args));
-      return out;
+      return Val{.i = static_cast<Value>(hash32(int_arg(0), args))};
     }
-    case CallKind::SysTime: {
-      Val out;
-      out.i = mask_width(node_.node().sim().now(), 32);
-      return out;
-    }
-    case CallKind::SysSelf: {
-      Val out;
-      out.i = node_.self();
-      return out;
-    }
+    case CallKind::SysTime:
+      return Val{.i = mask_width(in_.now_ns, 32)};
+    case CallKind::SysSelf:
+      return Val{.i = in_.self_id};
     case CallKind::UserFun: {
       const auto fit = funs_by_name_.find(std::string_view(c.callee));
       if (fit == funs_by_name_.end()) return {};
@@ -372,66 +357,61 @@ Runtime::Val Runtime::eval_call(Frame& frame, const CallExpr& c) {
       Frame inner;
       for (std::size_t i = 0; i < f->params.size() && i < c.args.size();
            ++i) {
+        Val v;
         if (f->params[i].type.kind == TypeKind::Array) {
-          // Array parameters are passed by name: rebind via an event-free
-          // Val holding nothing; Array ops resolve through the argument's
-          // VarRef name directly. To support helpers, substitute textually:
-          // store the referenced array name in the frame.
-          Val v;
-          v.i = 0;
-          inner.slot(f->params[i].name) = std::move(v);
-          array_alias_[f->params[i].name] =
-              c.args[i]->as<VarRefExpr>()->name;
+          // Binds the caller's array, through the caller's own bindings.
+          v.arr = array_arg(frame, *c.args[i]);
         } else {
-          Val v = eval(frame, *c.args[i]);
+          v = eval(frame, *c.args[i]);
           if (f->params[i].type.is_int()) {
             v.i = mask_width(v.i, f->params[i].type.width);
           }
-          inner.slot(f->params[i].name) = std::move(v);
         }
+        inner.slot(f->params[i].name) = v;
       }
       Val ret;
       (void)exec_block(inner, f->body, &ret);
-      for (const auto& p : f->params) {
-        if (p.type.kind == TypeKind::Array) array_alias_.erase(p.name);
-      }
       return ret;
     }
     case CallKind::EventCtor: {
-      Val out;
-      out.ev = std::make_shared<sched::GenEvent>();
       const auto eit = events_by_name_.find(std::string_view(c.callee));
       const EventDecl* ev =
           eit == events_by_name_.end() ? nullptr : eit->second;
-      out.ev->event_id = ev ? ev->event_id : -1;
+      pisa::GenOut rec;
+      rec.event_id = ev ? ev->event_id : -1;
+      // The arity rule (check_arity) keeps every argument within the record.
       for (std::size_t i = 0; i < c.args.size(); ++i) {
         Value a = int_arg(i);
         if (ev && i < ev->params.size()) {
           a = mask_width(a, ev->params[i].type.width);
         }
-        out.ev->args.push_back(a);
+        if (i < static_cast<std::size_t>(pisa::kMaxArgs)) rec.args[i] = a;
       }
-      return out;
+      rec.nargs = static_cast<std::int32_t>(
+          std::min<std::size_t>(c.args.size(), pisa::kMaxArgs));
+      return new_event(rec);
     }
     case CallKind::EventDelay: {
-      Val inner = eval(frame, *c.args[0]);
-      if (inner.is_event()) inner.own_event().delay_ns = int_arg(1);
-      return inner;
+      const Val inner = eval(frame, *c.args[0]);
+      if (!inner.is_event()) return inner;
+      pisa::GenOut rec = events_[static_cast<std::size_t>(inner.ev)];
+      rec.delay_ns = int_arg(1);
+      return new_event(rec);
     }
     case CallKind::EventLocate: {
-      Val inner = eval(frame, *c.args[0]);
+      const Val inner = eval(frame, *c.args[0]);
       if (!inner.is_event()) return inner;
+      pisa::GenOut rec = events_[static_cast<std::size_t>(inner.ev)];
       const Expr& loc = *c.args[1];
-      sched::GenEvent& ev = inner.own_event();
       if (loc.kind == ExprKind::VarRef && loc.as<VarRefExpr>()->is_group) {
-        ev.multicast = true;
-        for (const auto& g : comp_->ir().groups) {
-          if (g.name == loc.as<VarRefExpr>()->name) ev.members = g.members;
-        }
+        rec.multicast = 1;
+        const auto git =
+            groups_by_name_.find(std::string_view(loc.as<VarRefExpr>()->name));
+        if (git != groups_by_name_.end()) rec.group = git->second;
       } else {
-        ev.location = eval(frame, loc).i;
+        rec.location = eval(frame, loc).i;
       }
-      return inner;
+      return new_event(rec);
     }
     case CallKind::Unresolved:
       return {};

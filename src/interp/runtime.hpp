@@ -6,13 +6,14 @@
 // because handler execution is coupled to the event scheduler and the
 // ns-resolution simulator.
 //
-// Semantics: one handler execution == one atomic pipeline pass. Array state
-// lives in the Runtime's pisa::RegisterFile (IR declaration order,
-// width-masked), the same type native::Replica holds. Injected events pass
-// ir::ProgramIR::admit_event, the Replica's admission rule too. `generate`
-// feeds the event scheduler, which serializes the event through the
-// recirculation port or the fabric. Memops are applied in their
-// canonicalized single-sALU form.
+// Semantics: one handler execution == one atomic pipeline pass. The tree
+// walker has the native module's shape and never calls its host: it reads a
+// pisa::PacketIn (arguments, Sys.time(), SELF), runs against the Runtime's
+// pisa::RegisterFile (the type native::Replica holds) and writes
+// pisa::GenOut records, which the Runtime hands to the event scheduler in
+// order after the handler. Injected events pass ir::ProgramIR::admit_event,
+// the Replica's rule too. Memops apply in their canonicalized single-sALU
+// form.
 //
 // The per-event hot path (inject → dispatch → handler body) uses dense-id
 // and unordered lookups prebuilt at construction; the name-keyed RunStats
@@ -20,7 +21,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -41,9 +41,14 @@ using sched::RunStats;
 [[nodiscard]] std::uint32_t hash32(std::int64_t seed,
                                    const std::vector<Value>& args);
 
+/// The arity rule (ir::ProgramIR::unfit_event) for the interpreter: false,
+/// with an `interp-too-many-params` error on `comp`, when an event does not
+/// fit the event record. Testbed and the interp backend check it.
+bool check_arity(Compilation& comp);
+
 class Runtime {
  public:
-  /// Binds a compilation (whose Lower stage must have succeeded) to a
+  /// Binds a compilation (Lower succeeded, check_arity holds) to a
   /// scheduler/switch: creates the register arrays and installs the handler
   /// executor. The Runtime shares ownership of the artifacts, so the
   /// CompilerDriver (and any Testbed that produced `comp`) may be destroyed
@@ -56,14 +61,14 @@ class Runtime {
   /// front-panel port). Returns false — and injects nothing — unless
   /// ir::ProgramIR::admit_event admits it (known event, matching arity);
   /// arguments are masked to their declared widths like `EventCtor` does.
-  bool inject(const std::string& event, std::vector<Value> args,
+  bool inject(const std::string& event, const std::vector<Value>& args,
               sim::Time delay_ns = 0, std::int64_t location = -1);
 
   /// Injects an event from the control plane (src/ctrl): the packet enters
   /// through the recirculation port (switch-CPU path), not the wire. Same
   /// validation as inject().
-  bool inject_control(const std::string& event, std::vector<Value> args,
-                      sim::Time delay_ns = 0);
+  bool inject_control(const std::string& event,
+                      const std::vector<Value>& args, sim::Time delay_ns = 0);
 
   /// The register file, IR declaration order.
   [[nodiscard]] pisa::RegisterFile& registers() { return registers_; }
@@ -71,14 +76,8 @@ class Runtime {
   [[nodiscard]] pisa::RegisterArray* array(const std::string& name) {
     const auto& index = comp_->ir().array_index;
     const auto it = index.find(name);
-    return it == index.end()
-               ? nullptr
-               : &registers_[static_cast<std::size_t>(it->second)];
+    return it == index.end() ? nullptr : register_at(it->second);
   }
-  /// Resolves an array name through function-parameter aliases installed by
-  /// UserFun calls (between handler executions the alias map is empty, so
-  /// control-plane callers see exactly the declared arrays).
-  [[nodiscard]] pisa::RegisterArray* resolve_array(const std::string& name);
 
   [[nodiscard]] const RunStats& stats() const;
   [[nodiscard]] sched::EventScheduler& node() { return node_; }
@@ -90,18 +89,15 @@ class Runtime {
   }
 
  private:
-  /// An int or an event value. Events are values, as in the IR lowering:
-  /// copies share one GenEvent until one of them is written.
+  /// An int, an event value or an array binding; cheap to copy, because
+  /// every expression returns one. Events are values, as in the IR
+  /// lowering: each combinator writes a changed copy of the record to the
+  /// arena (`events_`), so `Event.delay(e, t)` leaves `e` as it was.
   struct Val {
     Value i = 0;
-    std::shared_ptr<sched::GenEvent> ev;
-    [[nodiscard]] bool is_event() const { return ev != nullptr; }
-    /// The event for writing, un-shared first, so `Event.delay(e, t)`
-    /// leaves `e` as it was.
-    sched::GenEvent& own_event() {
-      if (ev.use_count() > 1) ev = std::make_shared<sched::GenEvent>(*ev);
-      return *ev;
-    }
+    std::int32_t ev = -1;   // events_ index; -1: not an event
+    std::int32_t arr = -1;  // registers_ slot an Array parameter binds
+    [[nodiscard]] bool is_event() const { return ev >= 0; }
   };
 
   /// Handler-execution locals: a flat vector beats any tree/hash map at the
@@ -131,7 +127,11 @@ class Runtime {
     std::vector<Slot> slots_;
   };
 
+  /// The scheduler's execute hook: `p`'s handler, then its generates.
   void execute(const pisa::Packet& p);
+  /// The executor: handler `h` on `in` against registers_, its generates
+  /// written to gens_.
+  void run_handler(const frontend::HandlerDecl& h, const pisa::PacketIn& in);
 
   Val eval(Frame& frame, const frontend::Expr& e);
   Val eval_call(Frame& frame, const frontend::CallExpr& c);
@@ -139,6 +139,19 @@ class Runtime {
   /// in `*ret`.
   bool exec_block(Frame& frame, const frontend::Block& b, Val* ret);
   bool exec_stmt(Frame& frame, const frontend::Stmt& s, Val* ret);
+
+  /// The register slot an Array argument names (-1: none): a binding in
+  /// `frame` first, as the lowering substitutes it, else a declared array.
+  [[nodiscard]] std::int32_t array_arg(const Frame& frame,
+                                       const frontend::Expr& e) const;
+  [[nodiscard]] pisa::RegisterArray* register_at(std::int32_t slot) {
+    return slot < 0 ? nullptr : &registers_[static_cast<std::size_t>(slot)];
+  }
+  /// A new event record in the arena; its Val.
+  Val new_event(const pisa::GenOut& rec) {
+    events_.push_back(rec);
+    return Val{.ev = static_cast<std::int32_t>(events_.size() - 1)};
+  }
 
   [[nodiscard]] Value memop_apply(const std::string& name, Value cell,
                                   Value arg) const;
@@ -157,7 +170,12 @@ class Runtime {
   std::unordered_map<std::string_view, const ir::MemopInfo*> memops_by_name_;
   std::unordered_map<std::string_view, const frontend::FunDecl*>
       funs_by_name_;
-  std::unordered_map<std::string, std::string> array_alias_;
+  std::unordered_map<std::string_view, std::int32_t> groups_by_name_;
+
+  // The executing handler's input, output buffer and event-value arena.
+  pisa::PacketIn in_;
+  std::vector<pisa::GenOut> gens_;
+  std::vector<pisa::GenOut> events_;
 
   sched::RunCounters counters_;
 };

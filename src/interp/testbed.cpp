@@ -10,7 +10,9 @@ Testbed::Testbed(const std::string& source, TestbedConfig config)
   opts.program_name = config.program_name;
   const CompilerDriver driver(std::move(opts));
   program_ = driver.run(source, Stage::Layout);
-  if (!ok()) return;
+  bound_ = program_ != nullptr && program_->ok() &&
+           program_->succeeded(Stage::Layout) && check_arity(*program_);
+  if (!bound_) return;
 
   for (const int id : config.switch_ids) {
     pisa::SwitchConfig sc = config.switch_base;

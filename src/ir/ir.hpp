@@ -20,10 +20,12 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "frontend/ast.hpp"
+#include "pisa/packet.hpp"
 #include "support/diagnostics.hpp"
 
 namespace lucid::ir {
@@ -231,12 +233,25 @@ struct ProgramIR {
   [[nodiscard]] const ArrayInfo* find_array(std::string_view name) const;
   [[nodiscard]] const MemopInfo* find_memop(std::string_view name) const;
   [[nodiscard]] const EventInfo* find_event(std::string_view name) const;
+  /// The arity rule: the first event with more params than an event record
+  /// carries (pisa::kMaxArgs), nullptr when all fit. Every engine refuses a
+  /// program that has one (native::check_envelope, interp::check_arity).
+  [[nodiscard]] const EventInfo* unfit_event() const;
   /// Event admission, the one rule both engines apply to an event entering
-  /// from outside a handler (an injection or a control-plane post): the
-  /// event `name` when `args` match its arity, with every argument masked
-  /// to its parameter width like an event constructor; nullptr otherwise.
-  [[nodiscard]] const EventInfo* admit_event(
-      std::string_view name, std::vector<std::int64_t>& args) const;
+  /// from outside a handler (an injection or a control-plane post): true
+  /// when `name` is declared and `args` match its arity and fit the record,
+  /// with `out`'s event id and arguments filled in, each masked to its
+  /// parameter width like an event constructor.
+  [[nodiscard]] bool admit_event(std::string_view name,
+                                 std::span<const std::int64_t> args,
+                                 pisa::Packet* out) const;
+  /// The switches generate record `g` multicasts to: its group's members
+  /// when it is a multicast located at a group, none otherwise.
+  [[nodiscard]] std::span<const std::int64_t> members(
+      const pisa::GenOut& g) const {
+    if (g.multicast == 0 || g.group < 0) return {};
+    return groups[static_cast<std::size_t>(g.group)].members;
+  }
   [[nodiscard]] int max_handler_longest_path() const;
   /// The paper's "unoptimized stage count" (Fig 12 numerator): without
   /// branch inlining, reordering, or merging, every atomic table needs its

@@ -188,14 +188,29 @@ const EventInfo* ProgramIR::find_event(std::string_view name) const {
   return nullptr;
 }
 
-const EventInfo* ProgramIR::admit_event(
-    std::string_view name, std::vector<std::int64_t>& args) const {
-  const EventInfo* ev = find_event(name);
-  if (ev == nullptr || args.size() != ev->params.size()) return nullptr;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    args[i] = support::mask_width(args[i], ev->params[i].second);
+const EventInfo* ProgramIR::unfit_event() const {
+  for (const EventInfo& ev : events) {
+    if (ev.params.size() > static_cast<std::size_t>(pisa::kMaxArgs)) {
+      return &ev;
+    }
   }
-  return ev;
+  return nullptr;
+}
+
+bool ProgramIR::admit_event(std::string_view name,
+                            std::span<const std::int64_t> args,
+                            pisa::Packet* out) const {
+  const EventInfo* ev = find_event(name);
+  if (ev == nullptr || args.size() != ev->params.size() ||
+      args.size() > static_cast<std::size_t>(pisa::kMaxArgs)) {
+    return false;
+  }
+  out->event_id = ev->event_id;
+  out->nargs = static_cast<std::int32_t>(args.size());
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    out->args[i] = support::mask_width(args[i], ev->params[i].second);
+  }
+  return true;
 }
 
 int ProgramIR::max_handler_longest_path() const {

@@ -20,43 +20,25 @@
 // `arrays` is one raw cell pointer per register array, in IR declaration
 // order (ir::ProgramIR::arrays). The module owns all semantics — width
 // masking, index clamping, memop evaluation — so the host just hands over
-// storage. The struct definitions below are mirrored *textually* into every
-// prelude; bump kAbiVersion whenever their layout or the entry signature
-// changes.
+// storage. The record definitions (pisa/packet.hpp) are mirrored *textually*
+// into every prelude; bump kAbiVersion whenever their layout or the entry
+// signature changes.
 #pragma once
 
 #include <cstdint>
+
+#include "pisa/packet.hpp"
 
 namespace lucid::native {
 
 inline constexpr std::uint32_t kAbiVersion = 3;
 
-/// Fixed argument capacity: the backend refuses programs whose events carry
-/// more parameters (the paper apps top out at 5).
-inline constexpr int kMaxArgs = 8;
-
-/// One event packet entering the pipeline.
-struct PacketIn {
-  std::int32_t event_id = -1;
-  std::int32_t nargs = 0;
-  std::int64_t now_ns = 0;   // Sys.time() source; module masks to 32 bits
-  std::int64_t self_id = 0;  // SELF
-  std::int64_t args[kMaxArgs] = {};
-};
-
-/// One generated event leaving the pipeline. The module resolves no group
-/// membership — it reports the group's index into ir::ProgramIR::groups and
-/// the host expands members (mirroring how the interpreter's scheduler
-/// expands multicast clones).
-struct GenOut {
-  std::int32_t event_id = -1;
-  std::int32_t multicast = 0;
-  std::int32_t group = -1;  // index into ProgramIR::groups; -1 = none
-  std::int32_t nargs = 0;
-  std::int64_t delay_ns = 0;
-  std::int64_t location = -1;  // destination switch id; -1 = local/unlocated
-  std::int64_t args[kMaxArgs] = {};
-};
+/// The event records (pisa/packet.hpp): one packet into a handler and one
+/// generate out of it. A program whose events carry more than kMaxArgs
+/// params is refused before emission (check_envelope).
+using pisa::GenOut;
+using pisa::kMaxArgs;
+using pisa::PacketIn;
 
 using AbiVersionFn = std::uint32_t (*)();
 /// One packet through one handler; returns the GenOut records written.

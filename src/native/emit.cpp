@@ -542,9 +542,7 @@ class Emitter {
       line("  m.__self = in.self_id;");
       line("  m.__ts = lucid_mask(in.now_ns, 32);");
       line("  i32 n = 0;");
-      const std::size_t nargs =
-          std::min<std::size_t>(ev.params.size(), kMaxArgs);
-      for (std::size_t i = 0; i < nargs; ++i) {
+      for (std::size_t i = 0; i < ev.params.size(); ++i) {
         line("  " + ctx_ref(ev.params[i].first) + " = " +
              masked("in.args[" + std::to_string(i) + "]",
                     ev.params[i].second) +
@@ -584,13 +582,11 @@ std::optional<EnvelopeViolation> check_envelope(const Compilation& comp) {
                              "pipeline layout is infeasible; the native "
                              "engine cannot run it"};
   }
-  for (const auto& ev : comp.ir().events) {
-    if (ev.params.size() > static_cast<std::size_t>(kMaxArgs)) {
-      return EnvelopeViolation{
-          "native-too-many-params",
-          "event " + ev.name + " has " + std::to_string(ev.params.size()) +
-              " params; the native ABI caps at " + std::to_string(kMaxArgs)};
-    }
+  if (const ir::EventInfo* ev = comp.ir().unfit_event()) {
+    return EnvelopeViolation{
+        "native-too-many-params",
+        "event " + ev->name + " has " + std::to_string(ev->params.size()) +
+            " params; the native ABI caps at " + std::to_string(kMaxArgs)};
   }
   return std::nullopt;
 }

@@ -26,8 +26,7 @@ double measure_raw_batch_pps(const ir::ProgramIR& ir, const Module& mod,
         *handlers[static_cast<std::size_t>(i) % handlers.size()];
     PacketIn& p = in[static_cast<std::size_t>(i)];
     p.event_id = ev.event_id;
-    p.nargs = static_cast<std::int32_t>(
-        std::min<std::size_t>(ev.params.size(), kMaxArgs));
+    p.nargs = static_cast<std::int32_t>(ev.params.size());
     p.now_ns = i;
     p.self_id = 1;
     for (std::int32_t a = 0; a < p.nargs; ++a) {
@@ -139,33 +138,20 @@ void Replica::push_idx(sim::Time t, Kind kind, std::int32_t idx) {
 
 void Replica::push(sim::Time t, Kind kind) { push_idx(t, kind, -1); }
 
-void Replica::push(sim::Time t, Kind kind, const RPacket& pkt) {
+void Replica::push(sim::Time t, Kind kind, const pisa::Packet& pkt) {
   const std::int32_t idx = alloc_slot();
   pool_[static_cast<std::size_t>(idx)] = pkt;
   push_idx(t, kind, idx);
 }
 
-bool Replica::admit(const std::string& event, std::vector<std::int64_t>& args,
-                    RPacket* out) const {
-  // The fixed args[] slabs (RPacket, PacketIn) hold kMaxArgs words, so a
-  // wider injection is refused, never truncated. Program::build refuses
-  // events declared wider, but injection is caller input.
-  if (args.size() > static_cast<std::size_t>(kMaxArgs)) return false;
-  const ir::EventInfo* ev = prog_->ir().admit_event(event, args);
-  if (ev == nullptr) return false;
-  out->event_id = ev->event_id;
-  out->nargs = static_cast<std::int32_t>(args.size());
-  for (std::int32_t i = 0; i < out->nargs; ++i) out->args[i] = args[i];
-  return true;
-}
-
 bool Replica::schedule_inject(sim::Time t, const std::string& event,
                               std::vector<std::int64_t> args,
                               sim::Time delay_ns, std::int64_t location) {
-  RPacket p;
-  if (!admit(event, args, &p)) return false;
+  pisa::Packet p;
+  if (!prog_->ir().admit_event(event, args, &p)) return false;
   // The reference registers a closure with Simulator::at, which clamps a
-  // past `t` to now; to_packet stamps creation when that closure fires.
+  // past `t` to now; EventScheduler::inject stamps creation when that
+  // closure fires.
   const sim::Time at = std::max(t, now_);
   p.location = location;
   p.created = at;
@@ -188,8 +174,8 @@ bool Replica::inject_control(const std::string& event,
                              std::vector<std::int64_t> args,
                              sim::Time delay_ns) {
   // EventScheduler::inject_control: stamped now, local, recirculated.
-  RPacket p;
-  if (!admit(event, args, &p)) return false;
+  pisa::Packet p;
+  if (!prog_->ir().admit_event(event, args, &p)) return false;
   p.created = now_;
   p.due = now_ + delay_ns;
   recirculate(p);
@@ -198,19 +184,19 @@ bool Replica::inject_control(const std::string& event,
 
 void Replica::pfc_tick() {
   // Switch::pfc_tick: the (unpause, pause) pair costs recirc bandwidth;
-  // three sim entries allocated in this order.
-  RPacket frame;  // argument-less: a minimum-size PFC frame
-  push(recirc_.send(now_, frame.wire_bytes()), Kind::PfcOpen);
+  // three sim entries allocated in this order. An argument-less packet is a
+  // minimum-size PFC frame.
+  push(recirc_.send(now_, pisa::Packet{}.wire_bytes()), Kind::PfcOpen);
   push(now_ + cfg_.sched.release_window_ns, Kind::PfcPauseSend);
   push(now_ + cfg_.sched.release_interval_ns, Kind::PfcTick);
 }
 
-void Replica::recirculate(const RPacket& p) {
+void Replica::recirculate(const pisa::Packet& p) {
   ++stats_.recirculations;
   push(recirc_.send(now_, p.wire_bytes()), Kind::RecircDeliver, p);
 }
 
-void Replica::route_out(const RPacket& p) {
+void Replica::route_out(const pisa::Packet& p) {
   // Front-port serialization is accounted, but the delivery entry is not
   // pushed: in a single-node topology the network drops it (no side
   // effects), and skipping an allocation-sequence element preserves the
@@ -220,26 +206,15 @@ void Replica::route_out(const RPacket& p) {
 }
 
 void Replica::dispatch_gen(const GenOut& g) {
-  counters_.generated(g.event_id);
-  RPacket p;
-  p.event_id = g.event_id;
-  p.nargs = g.nargs;
-  for (std::int32_t i = 0; i < g.nargs; ++i) p.args[i] = g.args[i];
-  p.created = now_;
-  p.due = now_ + g.delay_ns;
-  std::span<const std::int64_t> members;
-  if (g.multicast != 0 && g.group >= 0) {
-    members = prog_->ir().groups[static_cast<std::size_t>(g.group)].members;
-  }
-  sched::serialize_generate(g.location, members, cfg_.switch_cfg.id,
-                            [&](std::int64_t location, bool recirc) {
-                              p.location = location;
-                              if (recirc) {
-                                recirculate(p);
-                              } else {
-                                route_out(p);
-                              }
-                            });
+  sched::dispatch_generate(g, prog_->ir().members(g), cfg_.switch_cfg.id, now_,
+                           counters_,
+                           [this](const pisa::Packet& p, bool recirc) {
+                             if (recirc) {
+                               recirculate(p);
+                             } else {
+                               route_out(p);
+                             }
+                           });
 }
 
 void Replica::run_until(sim::Time t) {
@@ -325,11 +300,9 @@ void Replica::run_until(sim::Time t) {
       case Kind::PfcClose:
         delay_open_ = false;
         break;
-      case Kind::PfcPauseSend: {
-        RPacket frame;
-        push(recirc_.send(now_, frame.wire_bytes()), Kind::PfcClose);
+      case Kind::PfcPauseSend:
+        push(recirc_.send(now_, pisa::Packet{}.wire_bytes()), Kind::PfcClose);
         break;
-      }
       case Kind::PfcTick:
         pfc_tick();
         break;
@@ -403,16 +376,16 @@ void Replica::drain_passes() {
     // (execute) path. The rare non-execute paths copy out first: their
     // flush can grow pool_ under the reference, and recirculate must not
     // alias a slot anyway.
-    const RPacket& p = fe.from_pool
-                           ? pool_[static_cast<std::size_t>(fe.idx)]
-                           : pending_[static_cast<std::size_t>(fe.idx)].pkt;
+    const pisa::Packet& p =
+        fe.from_pool ? pool_[static_cast<std::size_t>(fe.idx)]
+                     : pending_[static_cast<std::size_t>(fe.idx)].pkt;
     ++pass_head_;
     ++drained;
     const sched::Disposition d =
         sched::ingress_disposition(p.location, self, now_, p.due,
                                    cfg_.sched.mode, delay_open_);
     if (d != sched::Disposition::Execute) {
-      const RPacket pkt = p;
+      const pisa::Packet pkt = p;
       if (fe.from_pool) release_slot(fe.idx);
       flush_exec_batch();
       switch (d) {
@@ -441,13 +414,7 @@ void Replica::drain_passes() {
       continue;
     }
     counters_.executed(id);
-    PacketIn in;
-    in.event_id = p.event_id;
-    in.nargs = p.nargs;
-    in.now_ns = now_;
-    in.self_id = self;
-    for (std::int32_t i = 0; i < p.nargs; ++i) in.args[i] = p.args[i];
-    batch_in_.push_back(in);
+    batch_in_.push_back(pisa::packet_in(p, now_, self));
     if (fe.from_pool) release_slot(fe.idx);
   }
   flush_exec_batch();

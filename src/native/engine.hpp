@@ -2,12 +2,13 @@
 // (src/native/emit.cpp + src/native/jit.cpp) instead of walking the AST.
 //
 // native::Replica is the one host of a loaded Program (ReplicaFleet in
-// fleet.hpp shards it over cores): a single-node event loop with POD packets
-// on one (time, seq) heap and no std::function in the hot loop. It does not
-// copy the host rules of the interpreter's stack but calls them: the ingress
-// disposition (sched::ingress_disposition), the generate serializer
-// (sched::serialize_generate), port serialization (pisa::PortClock), the
-// event frame size (pisa::event_frame_bytes), event admission
+// fleet.hpp shards it over cores): a single-node event loop with pooled
+// pisa::Packet records on one (time, seq) heap and no std::function in the
+// hot loop. It carries the same event records as the interpreter's stack
+// (pisa/packet.hpp: Packet in flight, PacketIn into a handler, GenOut out of
+// one) and calls the same host rules: the ingress disposition
+// (sched::ingress_disposition), generate dispatch (sched::dispatch_generate),
+// port serialization (pisa::PortClock), event admission
 // (ir::ProgramIR::admit_event), the run counters (sched::RunCounters) and
 // the register file (pisa::RegisterFile). What it still writes on its own
 // is the loop: the heap and seq allocation, the PFC stream and the
@@ -119,8 +120,7 @@ class Replica {
 
   /// Registers an external arrival at absolute time `t` (clamped to now(),
   /// like Simulator::at). Admitted by ir::ProgramIR::admit_event, like
-  /// interp::Runtime::inject, and refused above kMaxArgs arguments; false
-  /// (nothing scheduled) otherwise.
+  /// interp::Runtime::inject; false (nothing scheduled) otherwise.
   bool schedule_inject(sim::Time t, const std::string& event,
                        std::vector<std::int64_t> args, sim::Time delay_ns = 0,
                        std::int64_t location = -1);
@@ -173,18 +173,6 @@ class Replica {
   }
 
  private:
-  struct RPacket {
-    std::int32_t event_id = -1;
-    std::int32_t nargs = 0;
-    std::int64_t args[kMaxArgs] = {};
-    std::int64_t location = -1;
-    sim::Time created = 0;
-    sim::Time due = 0;
-    [[nodiscard]] int wire_bytes() const {
-      return pisa::frame_wire_bytes(pisa::event_frame_bytes(nargs));
-    }
-  };
-
   enum class Kind : std::uint8_t {
     Inject,         // front-panel arrival -> pipeline pass
     RecircDeliver,  // recirc port delivery -> pipeline pass
@@ -211,7 +199,7 @@ class Replica {
   struct PendingInject {
     sim::Time t = 0;
     std::uint64_t seq = 0;
-    RPacket pkt;
+    pisa::Packet pkt;
   };
   /// A completed-pipeline-pass record. Every pass is created at now_ +
   /// pipeline_latency with now_ nondecreasing and seq allocated in creation
@@ -239,7 +227,7 @@ class Replica {
   void release_slot(std::int32_t idx);
   void push_idx(sim::Time t, Kind kind, std::int32_t idx);
   void push(sim::Time t, Kind kind);  // packet-less entry
-  void push(sim::Time t, Kind kind, const RPacket& pkt);
+  void push(sim::Time t, Kind kind, const pisa::Packet& pkt);
   void pfc_tick();
   /// Records a completed pipeline pass (FIFO, not heap) by reference to its
   /// storage — a pending_ index or a pool_ slot.
@@ -248,20 +236,16 @@ class Replica {
   void flush_exec_batch();   // run batch_in_ through run_batch_raw + dispatch
   void compact_pending();
   // NOTE: `p` must not alias a pool_ slot — alloc_slot may grow the slab.
-  void recirculate(const RPacket& p);
-  void route_out(const RPacket& p);
+  void recirculate(const pisa::Packet& p);
+  void route_out(const pisa::Packet& p);
   void dispatch_gen(const GenOut& g);
-  /// Event admission plus the ABI cap: false unless `args` fit kMaxArgs
-  /// and ir::ProgramIR::admit_event admits the event.
-  bool admit(const std::string& event, std::vector<std::int64_t>& args,
-             RPacket* out) const;
 
   std::shared_ptr<const Program> prog_;
   ReplicaConfig cfg_;
   sim::Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::vector<RPacket> pool_;         // slab backing Entry::pkt
+  std::vector<pisa::Packet> pool_;  // slab backing Entry::pkt
   std::vector<std::int32_t> free_;    // recycled pool_ slots
   std::vector<PendingInject> pending_;  // sorted by (t, seq)
   std::size_t pending_head_ = 0;
@@ -282,7 +266,7 @@ class Replica {
 
   pisa::PortClock recirc_;
   pisa::PortClock front_;
-  std::vector<RPacket> delay_queue_;  // FIFO (drained front to back)
+  std::vector<pisa::Packet> delay_queue_;  // FIFO (drained front to back)
   std::size_t delay_head_ = 0;
   bool delay_open_ = false;
 

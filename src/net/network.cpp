@@ -28,9 +28,9 @@ void Network::carry(int from, pisa::Packet p) {
   }
   const sim::Time lat = link_latency(from, dest);
   sched::EventScheduler* node = it->second;
-  sim_.after(lat, [this, node, p = std::move(p)]() mutable {
+  sim_.after(lat, [this, node, p] {
     ++delivered_;
-    node->inject_packet(std::move(p));
+    node->node().inject(p);  // stamps kept
   });
 }
 

@@ -52,14 +52,12 @@ class Port {
   }
 
   /// Sends `p`; `deliver` fires once the packet has fully serialized and
-  /// traversed the port (PortClock::send).
-  void send(Packet p, std::function<void(Packet)> deliver) {
+  /// traversed the port (PortClock::send). A `daemon` send (the switch's
+  /// PFC stream) never keeps Simulator::run going.
+  void send(Packet p, std::function<void(Packet)> deliver,
+            bool daemon = false) {
     const sim::Time at = clock_.send(sim_.now(), p.wire_bytes());
-    // PFC frames are the switch's daemon stream (Switch::pfc_tick).
-    const bool daemon = p.is_pfc;
-    auto cb = [deliver = std::move(deliver), p = std::move(p)]() mutable {
-      deliver(std::move(p));
-    };
+    auto cb = [deliver = std::move(deliver), p]() { deliver(p); };
     if (daemon) {
       sim_.daemon_at(at, std::move(cb));
     } else {

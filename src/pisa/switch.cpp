@@ -69,7 +69,6 @@ void Switch::inject(Packet p) { deliver_to_ingress(std::move(p)); }
 
 void Switch::recirculate(Packet p) {
   ++recirculations_;
-  ++p.recirc_count;
   recirc_port_.send(std::move(p),
                     [this](Packet q) { deliver_to_ingress(std::move(q)); });
 }
@@ -102,19 +101,16 @@ void Switch::start_pfc_stream(sim::Time interval, sim::Time window) {
 void Switch::pfc_tick(sim::Time interval, sim::Time window) {
   if (!pfc_running_) return;
   // The stream re-arms itself forever, so all of it is daemon work (its
-  // frames too, in Port::send): it never keeps Simulator::run going.
-  // The pair of PFC frames consumes recirculation bandwidth; model them as
-  // two minimum-size frames through the port with no delivery.
-  Packet unpause;
-  unpause.is_pfc = true;
-  unpause.pfc_pause = false;
-  recirc_port_.send(unpause, [this](Packet) { set_delay_queue_open(true); });
+  // frames too): it never keeps Simulator::run going. The pair of PFC
+  // frames consumes recirculation bandwidth; model them as two minimum-size
+  // frames through the port with no delivery.
+  recirc_port_.send(
+      Packet{}, [this](Packet) { set_delay_queue_open(true); },
+      /*daemon=*/true);
   sim_.daemon_after(window, [this] {
-    Packet pause;
-    pause.is_pfc = true;
-    pause.pfc_pause = true;
-    recirc_port_.send(pause,
-                      [this](Packet) { set_delay_queue_open(false); });
+    recirc_port_.send(
+        Packet{}, [this](Packet) { set_delay_queue_open(false); },
+        /*daemon=*/true);
   });
   sim_.daemon_after(interval, [this, interval, window] {
     pfc_tick(interval, window);

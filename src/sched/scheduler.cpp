@@ -26,67 +26,54 @@ EventScheduler::EventScheduler(pisa::Switch& sw, SchedulerConfig config)
   }
 }
 
-pisa::Packet EventScheduler::to_packet(GenEvent&& ev) const {
-  pisa::Packet p;
-  p.size_bytes = pisa::event_frame_bytes(static_cast<int>(ev.args.size()));
-  p.event_id = ev.event_id;
-  p.args = std::move(ev.args);
-  p.location = ev.location;
-  p.created_ns = switch_.sim().now();
-  p.due_ns = p.created_ns + ev.delay_ns;
-  return p;
+void EventScheduler::inject(pisa::Packet p, sim::Time delay_ns) {
+  p.created = switch_.sim().now();
+  p.due = p.created + delay_ns;
+  switch_.inject(p);
 }
 
-void EventScheduler::inject(GenEvent ev) {
-  switch_.inject(to_packet(std::move(ev)));
-}
-
-void EventScheduler::inject_control(GenEvent ev) {
+void EventScheduler::inject_control(pisa::Packet p, sim::Time delay_ns) {
   ++stats_.control_injected;
-  pisa::Packet p = to_packet(std::move(ev));
   p.location = -1;
-  switch_.recirculate(std::move(p));
+  p.created = switch_.sim().now();
+  p.due = p.created + delay_ns;
+  switch_.recirculate(p);
 }
 
-void EventScheduler::generate(GenEvent ev) {
-  std::vector<std::int64_t> members;
-  if (ev.multicast) members = std::move(ev.members);
-  pisa::Packet p = to_packet(std::move(ev));
-  serialize_generate(p.location, members, self(),
-                     [&](std::int64_t location, bool recirculate) {
-                       // A unicast sends `p` itself; multicast clones copy.
-                       pisa::Packet q =
-                           members.empty() ? std::move(p) : pisa::Packet(p);
-                       q.location = location;
-                       if (recirculate) {
-                         switch_.recirculate(std::move(q));
-                       } else {
-                         route_out(std::move(q));
-                       }
-                     });
+void EventScheduler::generate(const pisa::GenOut& g,
+                              std::span<const std::int64_t> members,
+                              RunCounters& counters) {
+  dispatch_generate(g, members, self(), switch_.sim().now(), counters,
+                    [this](const pisa::Packet& p, bool recirculate) {
+                      if (recirculate) {
+                        switch_.recirculate(p);
+                      } else {
+                        route_out(p);
+                      }
+                    });
 }
 
-void EventScheduler::route_out(pisa::Packet p) {
+void EventScheduler::route_out(const pisa::Packet& p) {
   ++stats_.forwarded;
   m_forwarded_->add();
-  switch_.send_external(std::move(p), [this](pisa::Packet q) {
-    if (net_send_) net_send_(std::move(q));
+  switch_.send_external(p, [this](pisa::Packet q) {
+    if (net_send_) net_send_(q);
   });
 }
 
 void EventScheduler::on_ingress(pisa::Packet p) {
   const sim::Time now = switch_.sim().now();
-  switch (ingress_disposition(p.location, self(), now, p.due_ns, config_.mode,
+  switch (ingress_disposition(p.location, self(), now, p.due, config_.mode,
                               switch_.delay_queue_open())) {
     case Disposition::RouteOut:
-      route_out(std::move(p));
+      route_out(p);
       return;
     case Disposition::Recirculate:
-      switch_.recirculate(std::move(p));
+      switch_.recirculate(p);
       return;
     case Disposition::DelayEnqueue:
       ++stats_.delayed_enqueues;
-      switch_.delay_enqueue(std::move(p));
+      switch_.delay_enqueue(p);
       return;
     case Disposition::Execute:
       break;
@@ -94,10 +81,9 @@ void EventScheduler::on_ingress(pisa::Packet p) {
   ++stats_.executed;
   m_executed_->add();
   m_latency_->observe(
-      static_cast<std::uint64_t>(std::max<sim::Time>(0, now - p.created_ns)));
-  if (p.due_ns > p.created_ns) {
-    stats_.delay_samples.emplace_back(p.due_ns - p.created_ns,
-                                      now - p.due_ns);
+      static_cast<std::uint64_t>(std::max<sim::Time>(0, now - p.created)));
+  if (p.due > p.created) {
+    stats_.delay_samples.emplace_back(p.due - p.created, now - p.due);
   }
   if (execute_) execute_(p);
   // Event boundary: the handler (if any) ran to completion; queued

@@ -1,7 +1,7 @@
 // The Lucid data-plane event scheduler (section 3.2): the library that sits
 // between application handlers and the switch hardware. It implements
 //
-//   - event serialization: each generated event becomes its own event packet
+//   - event serialization: each generate record becomes its own event packet
 //     (multicast clones expanded here, one per group member);
 //   - event dispatching: non-local events are forwarded into the fabric,
 //     delayed local events go to the delay machinery, processable events run
@@ -12,9 +12,11 @@
 //     Figure 14 compares against.
 //
 // The handler itself is installed by the interpreter; the scheduler is
-// application-agnostic.
+// application-agnostic: it carries the records of pisa/packet.hpp and never
+// looks a name or a group up.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <span>
@@ -134,16 +136,29 @@ class RunCounters {
   mutable RunStats view_;
 };
 
-/// An event the application asks to generate (the runtime form of a
-/// lowered GenStmt with evaluated operands).
-struct GenEvent {
-  int event_id = -1;
-  std::vector<std::int64_t> args;
-  sim::Time delay_ns = 0;
-  std::int64_t location = -1;  // -1 = local
-  bool multicast = false;
-  std::vector<std::int64_t> members{};
-};
+/// One generate record's dispatch, written once: EventScheduler::generate
+/// and native::Replica's drain both call it (inline: the drain's hot path).
+/// It counts the generate and serializes its packet, stamped `now`:
+/// `send(packet, recirculate)` gets the unicast or each member's clone. The
+/// caller resolves the group's `members` (ir::ProgramIR::members).
+template <class Send>
+inline void dispatch_generate(const pisa::GenOut& g,
+                              std::span<const std::int64_t> members,
+                              int self, sim::Time now, RunCounters& counters,
+                              Send&& send) {
+  counters.generated(g.event_id);
+  pisa::Packet p;
+  p.event_id = g.event_id;
+  p.nargs = g.nargs;
+  std::copy_n(g.args, g.nargs, p.args);
+  p.created = now;
+  p.due = now + g.delay_ns;
+  serialize_generate(g.location, members, self,
+                     [&](std::int64_t location, bool recirculate) {
+                       p.location = location;
+                       send(p, recirculate);
+                     });
+}
 
 class EventScheduler {
  public:
@@ -178,24 +193,26 @@ class EventScheduler {
     apply_point_ = std::move(fn);
   }
 
-  /// External arrival (workload traffic or a neighbor's event packet).
-  void inject(GenEvent ev);
-  void inject_packet(pisa::Packet p) { switch_.inject(std::move(p)); }
+  /// External arrival (workload traffic) through a front-panel port: `p` is
+  /// stamped created now, due `delay_ns` later.
+  void inject(pisa::Packet p, sim::Time delay_ns = 0);
 
   /// Control-plane entry: the event packet enters through the recirculation
   /// port (the switch-CPU / packet-generator path) instead of a front-panel
   /// port — Lucid control events raised by the control plane, not the wire.
-  void inject_control(GenEvent ev);
+  /// Stamped like inject(), and local.
+  void inject_control(pisa::Packet p, sim::Time delay_ns = 0);
 
-  /// Called from inside a handler: schedule `ev` per its combinators.
-  void generate(GenEvent ev);
+  /// A generate record a handler wrote, dispatched per dispatch_generate
+  /// to `members` (its resolved group; empty when unicast).
+  void generate(const pisa::GenOut& g, std::span<const std::int64_t> members,
+                RunCounters& counters);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   void on_ingress(pisa::Packet p);
-  void route_out(pisa::Packet p);
-  [[nodiscard]] pisa::Packet to_packet(GenEvent&& ev) const;
+  void route_out(const pisa::Packet& p);
 
   pisa::Switch& switch_;
   SchedulerConfig config_;

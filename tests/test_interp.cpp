@@ -8,7 +8,9 @@
 #include <limits>
 
 #include "apps/apps.hpp"
+#include "core/backends.hpp"
 #include "interp/testbed.hpp"
+#include "native/abi.hpp"
 #include "support/bits.hpp"
 #include "workload/workload.hpp"
 
@@ -149,6 +151,23 @@ TEST(Interp, FunctionWithArrayParameterAliases) {
   tb.inject_and_run(1, "e", {1});
   EXPECT_EQ(tb.node(1).array("a")->get(1), 1);
   EXPECT_EQ(tb.node(1).array("b")->get(1), 1);
+
+  // A parameter passed on to a helper whose parameter has the same name
+  // still names the handler's array.
+  Testbed chain(
+      "global a = new Array<<32>>(2);\n"
+      "global b = new Array<<32>>(2);\n"
+      "fun void inner(Array<<32>> arr, int i) { Array.set(arr, i, 7); }\n"
+      "fun void outer(Array<<32>> x, Array<<32>> arr, int i) {\n"
+      "  Array.set(x, i, 9);\n"
+      "  inner(arr, i);\n"
+      "}\n"
+      "event e(int i);\n"
+      "handle e(int i) { outer(a, b, i); }\n");
+  ASSERT_TRUE(chain.ok()) << chain.diagnostics();
+  chain.inject_and_run(1, "e", {1});
+  EXPECT_EQ(chain.node(1).array("a")->get(1), 9);
+  EXPECT_EQ(chain.node(1).array("b")->get(1), 7);
 }
 
 TEST(Interp, FunctionReturnValue) {
@@ -297,7 +316,7 @@ TEST(Interp, TraceHookObservesExecutions) {
   std::vector<std::vector<Value>> args;
   tb.node(1).set_trace([&](const std::string& ev, const pisa::Packet& p) {
     names.push_back(ev);
-    args.push_back(p.args);
+    args.emplace_back(p.args, p.args + p.nargs);
   });
   tb.inject_and_run(1, "a", {3});
   // The hook sees both the injected event and the generated one, in
@@ -453,6 +472,38 @@ TEST(Interp, Fig15MultiNodeCountsArePinned) {
     EXPECT_EQ(tb.network().delivered(), want.delivered);
     EXPECT_EQ(tb.network().dropped(), want.dropped);
   }
+}
+
+
+// The arity rule: an event packet record carries kMaxArgs argument words,
+// so a program declaring a wider event is refused with a diagnostic, by the
+// Testbed and by the interp backend alike, never run with its arguments
+// cut. The P4 emitter has no such record and still emits the program.
+TEST(Interp, EventsWiderThanThePacketRecordAreRefused) {
+  std::string params;
+  for (int i = 0; i <= native::kMaxArgs; ++i) {
+    params += (i > 0 ? ", int a" : "int a") + std::to_string(i);
+  }
+  const std::string source = "global out = new Array<<32>>(4);\n"
+                             "event wide(" + params + ");\n"
+                             "handle wide(" + params + ") {\n"
+                             "  Array.set(out, 0, a" +
+                             std::to_string(native::kMaxArgs) + ");\n"
+                             "}\n";
+  const Testbed tb(source);
+  EXPECT_FALSE(tb.ok());
+  EXPECT_NE(tb.diagnostics().find("interp-too-many-params"),
+            std::string::npos)
+      << tb.diagnostics();
+
+  register_default_backends();
+  const CompilerDriver driver;
+  const CompilationPtr comp = driver.run(source, Stage::Layout);
+  ASSERT_TRUE(comp->ok()) << comp->diags().render();
+  EXPECT_TRUE(driver.emit(comp, "p4").ok);
+  EXPECT_FALSE(driver.emit(comp, "interp").ok);
+  ASSERT_FALSE(comp->diags().all().empty());
+  EXPECT_EQ(comp->diags().all().back().code, "interp-too-many-params");
 }
 
 }  // namespace

@@ -108,11 +108,15 @@ TEST(NativeDifferential, GeneratedProgramsByteIdenticalState) {
   }
 }
 
-// Events are values: `Event.delay(e, t)` and `Event.locate(e, n)` return a
-// changed copy and leave `e` as it was, in the interpreter as in the
-// lowering. Each program generates the changed copy and then `e` itself,
-// so an engine that aliases the two delays (or routes) both.
-TEST(NativeDifferential, EventCombinatorsLeaveTheirArgumentUnchanged) {
+// Arguments bind, in the interpreter as in the lowering:
+//   - events are values: `Event.delay(e, t)` and `Event.locate(e, n)` return
+//     a changed copy and leave `e` as it was. Each program generates the
+//     changed copy and then `e` itself, so an engine that aliases the two
+//     delays (or routes) both;
+//   - an array parameter names the caller's array: a helper passing its
+//     `arr` on to a helper whose parameter is also `arr` writes the
+//     handler's `b`, not nothing.
+TEST(NativeDifferential, ArgumentsBindTheCallersValue) {
   const std::string prelude =
       "global hits = new Array<<32>>(8);\n"
       "memop plus(int cur, int x) { return cur + x; }\n"
@@ -135,8 +139,19 @@ TEST(NativeDifferential, EventCombinatorsLeaveTheirArgumentUnchanged) {
       "  generate e;\n"
       "  generate Event.delay(tick(a + 1), 10us);\n"
       "}\n";
+  const std::string alias =
+      "global a = new Array<<32>>(4);\n"
+      "global b = new Array<<32>>(4);\n"
+      "event e(int i);\n"
+      "fun void inner(Array<<32>> arr, int i) { Array.set(arr, i, 7); }\n"
+      "fun void outer(Array<<32>> x, Array<<32>> arr, int i) {\n"
+      "  Array.set(x, i, 9);\n"
+      "  inner(arr, i);\n"
+      "}\n"
+      "handle e(int i) { outer(a, b, i & 3); }\n";
   for (const auto& [name, source] :
-       {std::pair{"delay", delay}, std::pair{"locate", locate}}) {
+       {std::pair{"delay", delay}, std::pair{"locate", locate},
+        std::pair{"alias", alias}}) {
     const auto out = diff::run_differential(source, name, 7, 200);
     EXPECT_TRUE(out.ok) << name << ": " << out.detail;
     EXPECT_GT(out.interp.executed, 0u) << name;

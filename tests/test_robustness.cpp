@@ -101,10 +101,9 @@ TEST(SchedulerEdge, ZeroDelayEventIsImmediatelyProcessable) {
   sched::EventScheduler scheduler(sw, {});
   int executed = 0;
   scheduler.set_execute([&](const pisa::Packet&) { ++executed; });
-  sched::GenEvent ev;
-  ev.event_id = 0;
-  ev.delay_ns = 0;
-  scheduler.inject(ev);
+  pisa::Packet p;
+  p.event_id = 0;
+  scheduler.inject(p, /*delay_ns=*/0);
   simulator.run_until(sim::kMs);
   EXPECT_EQ(executed, 1);
   EXPECT_EQ(scheduler.stats().delayed_enqueues, 0u);
@@ -118,10 +117,10 @@ TEST(SchedulerEdge, LocateAtSelfExecutesLocally) {
   sched::EventScheduler scheduler(sw, {});
   int executed = 0;
   scheduler.set_execute([&](const pisa::Packet&) { ++executed; });
-  sched::GenEvent ev;
-  ev.event_id = 0;
-  ev.location = 7;  // explicitly located at self
-  scheduler.inject(ev);
+  pisa::Packet p;
+  p.event_id = 0;
+  p.location = 7;  // explicitly located at self
+  scheduler.inject(p);
   simulator.run_until(sim::kMs);
   EXPECT_EQ(executed, 1);
   EXPECT_EQ(scheduler.stats().forwarded, 0u);
@@ -133,17 +132,18 @@ TEST(SchedulerEdge, MulticastWithEmptyGroupIsANoOp) {
   sc.id = 1;
   pisa::Switch sw(simulator, sc);
   sched::EventScheduler scheduler(sw, {});
+  sched::RunCounters counters(2);
   int executed = 0;
   scheduler.set_execute([&](const pisa::Packet& p) {
     ++executed;
     if (p.event_id == 0) {
-      sched::GenEvent out;
+      pisa::GenOut out;
       out.event_id = 1;
-      out.multicast = true;  // no members
-      scheduler.generate(out);
+      out.multicast = 1;
+      scheduler.generate(out, /*members=*/{}, counters);
     }
   });
-  sched::GenEvent start;
+  pisa::Packet start;
   start.event_id = 0;
   scheduler.inject(start);
   simulator.run_until(sim::kMs);
@@ -160,11 +160,9 @@ TEST(SchedulerEdge, ManySimultaneousInjectionsAllExecute) {
   sched::EventScheduler scheduler(sw, {});
   int executed = 0;
   scheduler.set_execute([&](const pisa::Packet&) { ++executed; });
-  for (int i = 0; i < 10'000; ++i) {
-    sched::GenEvent ev;
-    ev.event_id = 0;
-    scheduler.inject(ev);
-  }
+  pisa::Packet p;
+  p.event_id = 0;
+  for (int i = 0; i < 10'000; ++i) scheduler.inject(p);
   simulator.run_until(10 * sim::kMs);
   EXPECT_EQ(executed, 10'000);
 }

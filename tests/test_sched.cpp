@@ -10,6 +10,13 @@
 namespace lucid::sched {
 namespace {
 
+/// An argument-less event packet of event `id`.
+pisa::Packet packet(std::int32_t id) {
+  pisa::Packet p;
+  p.event_id = id;
+  return p;
+}
+
 struct Node {
   sim::Simulator sim;
   pisa::Switch sw;
@@ -29,12 +36,13 @@ TEST(Scheduler, ImmediateLocalEventExecutes) {
   Node n;
   std::vector<std::int64_t> seen;
   n.sched.set_execute([&](const pisa::Packet& p) {
-    seen = p.args;
+    seen.assign(p.args, p.args + p.nargs);
   });
-  GenEvent ev;
-  ev.event_id = 0;
-  ev.args = {7, 8};
-  n.sched.inject(ev);
+  pisa::Packet p = packet(0);
+  p.nargs = 2;
+  p.args[0] = 7;
+  p.args[1] = 8;
+  n.sched.inject(p);
   ASSERT_TRUE(n.sim.run());
   EXPECT_EQ(seen, (std::vector<std::int64_t>{7, 8}));
   EXPECT_EQ(n.sched.stats().executed, 1u);
@@ -42,18 +50,17 @@ TEST(Scheduler, ImmediateLocalEventExecutes) {
 
 TEST(Scheduler, GeneratedLocalEventRecirculatesOnce) {
   Node n;
+  RunCounters counters(2);
   int executions = 0;
   n.sched.set_execute([&](const pisa::Packet& p) {
     ++executions;
     if (p.event_id == 0) {
-      GenEvent follow;
+      pisa::GenOut follow;
       follow.event_id = 1;
-      n.sched.generate(follow);
+      n.sched.generate(follow, {}, counters);
     }
   });
-  GenEvent first;
-  first.event_id = 0;
-  n.sched.inject(first);
+  n.sched.inject(packet(0));
   ASSERT_TRUE(n.sim.run());
   EXPECT_EQ(executions, 2);
   EXPECT_EQ(n.sw.recirculations(), 1u);
@@ -68,10 +75,7 @@ TEST(Scheduler, DelayedEventWaitsInPausableQueue) {
   n.sched.set_execute([&](const pisa::Packet&) {
     executed_at = n.sim.now();
   });
-  GenEvent ev;
-  ev.event_id = 0;
-  ev.delay_ns = 1 * sim::kMs;
-  n.sched.inject(ev);
+  n.sched.inject(packet(0), 1 * sim::kMs);
   n.sim.run_until(3 * sim::kMs);
   ASSERT_GT(executed_at, 0);
   // Executes at the first release at/after the due time; the quantization
@@ -94,10 +98,7 @@ TEST(Scheduler, RunWaitsForAnEventParkedInThePausableQueue) {
   n.sched.set_execute([&](const pisa::Packet&) {
     executed_at = n.sim.now();
   });
-  GenEvent ev;
-  ev.event_id = 0;
-  ev.delay_ns = 1 * sim::kMs;
-  n.sched.inject(ev);
+  n.sched.inject(packet(0), 1 * sim::kMs);
   ASSERT_TRUE(n.sim.run());
   EXPECT_GE(executed_at, 1 * sim::kMs);
   EXPECT_EQ(n.sw.delay_queue_depth(), 0u);
@@ -111,10 +112,7 @@ TEST(Scheduler, BaselineDelaySpinsTheRecircPort) {
   n.sched.set_execute([&](const pisa::Packet&) {
     executed_at = n.sim.now();
   });
-  GenEvent ev;
-  ev.event_id = 0;
-  ev.delay_ns = 100 * sim::kUs;
-  n.sched.inject(ev);
+  n.sched.inject(packet(0), 100 * sim::kUs);
   n.sim.run_until(sim::kMs);
   ASSERT_GT(executed_at, 0);
   // Error bounded by one recirculation loop (~600 ns), far tighter than the
@@ -132,10 +130,7 @@ TEST(Scheduler, PausableQueueUsesFarLessBandwidthThanBaseline) {
     Node n(cfg);
     n.sched.set_execute([](const pisa::Packet&) {});
     for (int i = 0; i < 20; ++i) {
-      GenEvent ev;
-      ev.event_id = 0;
-      ev.delay_ns = 10 * sim::kSec;  // effectively forever
-      n.sched.inject(ev);
+      n.sched.inject(packet(0), 10 * sim::kSec);  // effectively forever
     }
     const sim::Time horizon = 2 * sim::kMs;
     n.sim.run_until(horizon);
@@ -170,14 +165,14 @@ TEST(Scheduler, NonLocalEventForwardsThroughNetwork) {
   s2.set_execute([&](const pisa::Packet& p) {
     ++executed_at_2;
     when = sim.now();
-    EXPECT_EQ(p.args.size(), 1u);
+    EXPECT_EQ(p.nargs, 1);
   });
 
-  GenEvent ev;
-  ev.event_id = 0;
-  ev.args = {99};
-  ev.location = 2;
-  s1.inject(ev);
+  pisa::Packet p = packet(0);
+  p.nargs = 1;
+  p.args[0] = 99;
+  p.location = 2;
+  s1.inject(p);
   ASSERT_TRUE(sim.run());
   EXPECT_EQ(executed_at_2, 1);
   // One link hop (~1us) plus pipeline passes.
@@ -207,20 +202,19 @@ TEST(Scheduler, MulticastReachesAllMembers) {
   network.connect(1, 3);
 
   // Node 1 handler multicasts to {2, 3} when it executes event 0.
+  RunCounters counters(2);
   scheds[0]->set_execute([&](const pisa::Packet& p) {
     ++executions[1];
     if (p.event_id == 0) {
-      GenEvent ev;
+      pisa::GenOut ev;
       ev.event_id = 1;
-      ev.multicast = true;
-      ev.members = {2, 3};
-      scheds[0]->generate(ev);
+      ev.multicast = 1;
+      const std::int64_t members[] = {2, 3};
+      scheds[0]->generate(ev, members, counters);
     }
   });
 
-  GenEvent start;
-  start.event_id = 0;
-  scheds[0]->inject(start);
+  scheds[0]->inject(packet(0));
   ASSERT_TRUE(sim.run());
   EXPECT_EQ(executions[1], 1);
   EXPECT_EQ(executions[2], 1);
@@ -250,11 +244,9 @@ TEST(Scheduler, DelayedRemoteEventForwardsThenDelaysAtDestination) {
   s2.set_execute([&](const pisa::Packet&) { when = sim.now(); });
   s1.set_execute([](const pisa::Packet&) {});
 
-  GenEvent ev;
-  ev.event_id = 0;
-  ev.location = 2;
-  ev.delay_ns = 500 * sim::kUs;
-  s1.inject(ev);
+  pisa::Packet p = packet(0);
+  p.location = 2;
+  s1.inject(p, 500 * sim::kUs);
   sim.run_until(2 * sim::kMs);
   ASSERT_GT(when, 0);
   EXPECT_GE(when, 500 * sim::kUs);
@@ -264,10 +256,9 @@ TEST(Network, UnknownDestinationIsDropped) {
   Node n;
   net::Network network(n.sim);
   network.add_node(n.sched);
-  GenEvent ev;
-  ev.event_id = 0;
-  ev.location = 99;
-  n.sched.inject(ev);
+  pisa::Packet p = packet(0);
+  p.location = 99;
+  n.sched.inject(p);
   ASSERT_TRUE(n.sim.run());
   EXPECT_EQ(network.dropped(), 1u);
 }
